@@ -132,7 +132,6 @@ inline void add_total_entry(BenchReport& report, const EvalStats& total,
   // Copy-on-write snapshot storage: prefix snapshots adopted by reference
   // vs bytes materialized (CI asserts the fig7 sweep shares some and that
   // per-rebase bytes grow sublinearly with problem size).
-  entry.metric("rebase_batched", static_cast<double>(total.rebase_batched));
   entry.metric("rebase_interval_mismatch",
                static_cast<double>(total.rebase_interval_mismatch));
   entry.metric("snapshot_refs_shared",

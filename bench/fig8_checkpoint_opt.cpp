@@ -6,15 +6,12 @@
 // WCSL-driven optimization of [15]; the series is the average % deviation
 // of the global FTO from the baseline FTO (larger deviation == smaller
 // overhead, as in the paper's Fig. 8 which peaks around 10-40%).
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.h"
 #include "bench_report.h"
 #include "core/metrics.h"
-#include "core/pipeline.h"
-#include "core/synthesis.h"
 #include "opt/baselines.h"
 #include "opt/checkpoint_opt.h"
 #include "sched/wcsl.h"
@@ -114,73 +111,6 @@ int main(int argc, char** argv) {
     entry.metric("fto_global_pct", mean(global_ftos));
     entry.metric("deviation_pct", mean(deviations));
   }
-  // --- speculative stage execution (--speculate): hide table latency ------
-  // Small-k instances where the scenario tree is buildable: run the
-  // default pipeline serially and with speculation on the same problems.
-  // The adoption counters are deterministic (same seeds, any thread
-  // count), so the "speculation:" line is part of the committed golden
-  // (tests/golden/fig8_tiny.txt); the wall-clock line below it is
-  // filtered like every other volatile line.  The recorded hidden share
-  // is the table stage's serial wall time minus what the consuming stage
-  // still paid with speculation on -- with refinement dominating and a
-  // worker available, that approaches the table stage's full serial share.
-  long long spec_hits = 0, spec_misses = 0;
-  double serial_table_seconds = 0.0, spec_stage_seconds = 0.0;
-  double spec_task_seconds = 0.0;
-  const int spec_instances = std::max(2, cfg.seeds_per_size);
-  for (int s = 0; s < spec_instances; ++s) {
-    const std::uint64_t seed = 9000ull + static_cast<std::uint64_t>(s);
-    TaskGenParams params;
-    params.process_count = 12;
-    Rng seeder(seed);
-    params.node_count = static_cast<int>(seeder.uniform_int(2, 3));
-    Application app = generate_application(params, seeder);
-    Architecture arch = generate_architecture(params);
-
-    SynthesisOptions opts;
-    opts.fault_model.k = 2;
-    opts.optimize = bench_options(seed);
-    opts.optimize.space = PolicySpace::kCheckpointingOnly;
-    opts.optimize.threads = cfg.threads;
-    opts.schedule.max_scenarios = 500000;
-
-    SynthesisContext serial_ctx(app, arch, opts);
-    Pipeline serial = Pipeline::default_pipeline();
-    const SynthesisResult serial_result = serial.run(serial_ctx);
-    serial_table_seconds += serial.metrics()[2].seconds;
-
-    opts.speculate = true;
-    SynthesisContext spec_ctx(app, arch, opts);
-    Pipeline spec = Pipeline::default_pipeline();
-    const SynthesisResult spec_result = spec.run(spec_ctx);
-    spec_hits += spec.metrics()[2].spec_hits;
-    spec_misses += spec.metrics()[2].spec_misses;
-    spec_stage_seconds += spec.metrics()[2].seconds;
-    spec_task_seconds += spec.metrics()[2].spec_seconds;
-
-    if (serial_result.wcsl.makespan != spec_result.wcsl.makespan ||
-        serial_result.schedulable != spec_result.schedulable) {
-      std::fprintf(stderr,
-                   "fig8: speculative run diverged from serial (seed %llu)\n",
-                   static_cast<unsigned long long>(seed));
-      return 1;
-    }
-  }
-  std::printf("\n  speculation: %lld adopted / %lld discarded over %d "
-              "instances (bit-identical to serial, checked)\n",
-              spec_hits, spec_misses, spec_instances);
-  std::printf("  speculation wall-clock: table stage %.2fs serial vs %.2fs "
-              "speculative (task %.2fs overlapped with refinement)\n",
-              serial_table_seconds, spec_stage_seconds, spec_task_seconds);
-  BenchReport::Entry& spec_entry = report.add("speculation");
-  spec_entry.wall_seconds = spec_stage_seconds;
-  spec_entry.metric("spec_hits", static_cast<double>(spec_hits));
-  spec_entry.metric("spec_misses", static_cast<double>(spec_misses));
-  spec_entry.metric("table_stage_serial_seconds", serial_table_seconds);
-  spec_entry.metric("table_stage_speculative_seconds", spec_stage_seconds);
-  spec_entry.metric("hidden_seconds",
-                    serial_table_seconds - spec_stage_seconds);
-
   std::printf("\n  (paper's Fig. 8 reports deviations up to ~40%%, larger "
               "deviation = smaller overhead)\n");
   std::printf("  incremental evaluator: %lld evaluations, %.1f%% of the "

@@ -1,6 +1,5 @@
 #include "core/pipeline.h"
 
-#include <cassert>
 #include <sstream>
 #include <utility>
 
@@ -23,7 +22,6 @@ void fill_eval_metrics(StageMetrics& metrics, const EvalStats& spent) {
   metrics.rebase_cache_hits = spent.rebase_cache_hits;
   metrics.rebase_log_recorded = spent.rebase_log_recorded;
   metrics.rebase_full_builds = spent.rebase_full_builds;
-  metrics.rebase_batched = spent.rebase_batched;
   metrics.rebase_interval_mismatch = spent.rebase_interval_mismatch;
   metrics.snapshot_refs_shared = spent.snapshot_refs_shared;
   metrics.snapshot_bytes_copied = spent.snapshot_bytes_copied;
@@ -34,14 +32,6 @@ void fill_search_metrics(StageMetrics& metrics, const SearchStats& stats) {
   metrics.search_accepted = stats.accepted_moves;
   metrics.search_tabu_rejected = stats.tabu_rejected;
   metrics.search_aspiration = stats.aspiration_accepted;
-}
-
-bool same_assignment(const PolicyAssignment& a, const PolicyAssignment& b) {
-  if (a.process_count() != b.process_count()) return false;
-  for (int i = 0; i < a.process_count(); ++i) {
-    if (a.plan(ProcessId{i}) != b.plan(ProcessId{i})) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -59,7 +49,6 @@ std::string StageMetrics::to_json() const {
       << ", \"rebase_cache_hits\": " << rebase_cache_hits
       << ", \"rebase_log_recorded\": " << rebase_log_recorded
       << ", \"rebase_full_builds\": " << rebase_full_builds
-      << ", \"rebase_batched\": " << rebase_batched
       << ", \"rebase_interval_mismatch\": " << rebase_interval_mismatch
       << ", \"snapshot_refs_shared\": " << snapshot_refs_shared
       << ", \"snapshot_bytes_copied\": " << snapshot_bytes_copied
@@ -67,10 +56,7 @@ std::string StageMetrics::to_json() const {
       << ", \"search_accepted\": " << search_accepted
       << ", \"search_tabu_rejected\": " << search_tabu_rejected
       << ", \"search_aspiration\": " << search_aspiration
-      << ", \"spec_hits\": " << spec_hits
-      << ", \"spec_misses\": " << spec_misses << ", \"spec_seconds\": ";
-  json_seconds(out, spec_seconds);
-  out << ", \"timed_out\": " << (timed_out ? "true" : "false")
+      << ", \"timed_out\": " << (timed_out ? "true" : "false")
       << ", \"cancel_latency_seconds\": ";
   json_seconds(out, cancel_latency_seconds);
   out << ", \"fuzz_trials\": " << fuzz_trials
@@ -110,106 +96,6 @@ SynthesisContext::SynthesisContext(Application app, Architecture arch,
 ThreadPool& SynthesisContext::pool() const {
   return options_.optimize.pool ? *options_.optimize.pool
                                 : ThreadPool::shared();
-}
-
-// --- speculative stage execution --------------------------------------------
-
-SpeculationTask::SpeculationTask(SynthesisContext& ctx,
-                                 PolicyAssignment incumbent)
-    : app_(ctx.app()),
-      arch_(ctx.arch()),
-      model_(ctx.model()),
-      sched_(ctx.options().schedule),
-      build_tables_(ctx.options().build_schedule_tables),
-      incumbent_(std::move(incumbent)),
-      cancel_(&ctx.cancel_token()) {
-  sched_.threads = ctx.options().optimize.threads;
-  sched_.pool = ctx.options().optimize.pool;
-  sched_.cancel = &cancel_;
-}
-
-std::shared_ptr<SpeculationTask> SpeculationTask::launch(
-    SynthesisContext& ctx, const PolicyAssignment& incumbent) {
-  std::shared_ptr<SpeculationTask> task(new SpeculationTask(ctx, incumbent));
-  // The job only captures the shared_ptr: if the task is abandoned before a
-  // worker picks it up, run() no-ops without touching the ctx references.
-  ctx.pool().submit([task] { task->run(); });
-  return task;
-}
-
-void SpeculationTask::run() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (state_ != kPending) return;  // claimed inline or abandoned
-    state_ = kRunning;
-  }
-  run_body();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    state_ = kDone;
-  }
-  cv_.notify_all();
-}
-
-void SpeculationTask::run_body() {
-  const Stopwatch watch;
-  // No exception may escape: this runs on a pool worker (an escape would
-  // terminate the process) and finish()/abandon() wait for kDone.  The
-  // error is rethrown by finish(), where the serial stage would have
-  // thrown it; abandon() swallows it with the rest of the dead result.
-  try {
-    if (cancel_.poll()) {  // already dead: let abandon() drain instantly
-      ok_ = false;
-    } else {
-      // Full-DP evaluation, deliberately not through the shared
-      // EvalContext (the refinement stage owns it right now):
-      // bit-identical to the cached rows the serial stage reads, which
-      // adoption asserts.
-      wcsl_ = evaluate_wcsl(app_, arch_, incumbent_, model_);
-      ok_ = !cancel_.poll();
-      if (ok_ && build_tables_) {
-        try {
-          schedule_ = conditional_schedule(app_, arch_, incumbent_, model_,
-                                           sched_);
-        } catch (const CancelledError&) {
-          ok_ = false;
-        } catch (const std::length_error& e) {
-          // Same downgrade as the serial stage: analytic bound only.
-          FTES_LOG(kInfo) << "speculative tables skipped: " << e.what();
-        }
-      }
-    }
-  } catch (...) {
-    error_ = std::current_exception();
-    ok_ = false;
-  }
-  seconds_ = watch.seconds();
-}
-
-bool SpeculationTask::finish() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (state_ == kPending) {
-    state_ = kRunning;
-    lock.unlock();
-    run_body();
-    lock.lock();
-    state_ = kDone;
-    cv_.notify_all();
-  } else {
-    cv_.wait(lock, [&] { return state_ == kDone; });
-  }
-  if (error_) std::rethrow_exception(error_);
-  return ok_;
-}
-
-void SpeculationTask::abandon() {
-  cancel_.request_cancel();
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (state_ == kPending) {
-    state_ = kAbandoned;
-    return;
-  }
-  cv_.wait(lock, [&] { return state_ == kDone || state_ == kAbandoned; });
 }
 
 // --- stages -----------------------------------------------------------------
@@ -254,50 +140,15 @@ void CheckpointRefineStage::run(SynthesisContext& ctx, SynthesisState& state,
 void ScheduleTableStage::run(SynthesisContext& ctx, SynthesisState& state,
                              StageMetrics& metrics) {
   const SynthesisOptions& options = ctx.options();
-  std::shared_ptr<SpeculationTask> spec = state.speculation;
   const EvalStats before = ctx.eval().stats();
   // Usually served straight from the cached base DP: the refinement stage
   // left the evaluator rebased on exactly this assignment.
   state.wcsl = ctx.eval().evaluate_full(state.assignment);
   state.schedulable = state.wcsl.meets_deadlines(ctx.app());
   fill_eval_metrics(metrics, ctx.eval().stats().since(before));
-  if (!options.build_schedule_tables) {
-    return;  // an (impossible) stray speculation drains in Pipeline::run
-  }
+  if (!options.build_schedule_tables) return;
 
   CancellationToken& cancel = ctx.cancel_token();
-  if (spec && !same_assignment(spec->incumbent(), state.assignment)) {
-    // Refinement improved past the incumbent: the speculative tables
-    // describe a dead assignment.  Cancel it but do NOT join here -- the
-    // serial rebuild below overlaps with the dead task winding down, and
-    // Pipeline::run's drain guard (which still holds it through
-    // state.speculation) joins afterwards.
-    spec->discard();
-    metrics.spec_misses = 1;
-    spec.reset();
-  }
-  if (spec) {
-    state.speculation.reset();  // consumed: finish() below joins it
-    const bool usable = spec->finish() && !cancel.cancelled();
-    metrics.spec_seconds = spec->seconds();
-    if (usable && spec->wcsl().makespan == state.wcsl.makespan &&
-        spec->wcsl().process_finish == state.wcsl.process_finish) {
-      // Adoption: bit-identical to the serial stage by construction (the
-      // equality above cross-checks the task's full DP against the
-      // evaluator's cached rows; conditional_schedule is a pure function
-      // of the adopted assignment).
-      metrics.spec_hits = 1;
-      state.schedule = std::move(spec->schedule());
-      if (state.schedule) {
-        state.schedulable = state.schedulable ||
-                            state.schedule->wcsl <= ctx.app().deadline();
-      }
-      return;
-    }
-    assert(!usable && "speculative WCSL diverged from the cached base rows");
-    metrics.spec_misses = 1;
-  }
-
   if (cancel.poll()) return;
   try {
     CondScheduleOptions sched = options.schedule;
@@ -328,16 +179,6 @@ Pipeline& Pipeline::add(std::unique_ptr<Stage> stage) {
 SynthesisResult Pipeline::run(SynthesisContext& ctx) {
   metrics_.assign(stages_.size(), StageMetrics{});
   SynthesisState state;
-  // A speculation nobody consumed (its consumer was skipped by a cancel, a
-  // custom stage list never reached it, or a stage / progress callback
-  // threw) must drain before the context it references can go away --
-  // including on the exceptional path, hence the scope guard.
-  struct SpeculationDrain {
-    SynthesisState& state;
-    ~SpeculationDrain() {
-      if (state.speculation) state.speculation->abandon();
-    }
-  } drain{state};
   const SynthesisOptions& options = ctx.options();
   CancellationToken& cancel = ctx.cancel_token();
   if (options.total_budget_ms >= 0) {
@@ -351,15 +192,6 @@ SynthesisResult Pipeline::run(SynthesisContext& ctx) {
       metrics.skipped = true;
       metrics.timed_out = cancel.deadline_expired();
       continue;
-    }
-    if (options.speculate && options.build_schedule_tables &&
-        !state.speculation && stage.refines_incumbent()) {
-      for (std::size_t j = i + 1; j < stages_.size(); ++j) {
-        if (stages_[j]->consumes_speculation()) {
-          state.speculation = SpeculationTask::launch(ctx, state.assignment);
-          break;
-        }
-      }
     }
     StageProgress progress{static_cast<int>(i), stage_count(), stage.name(),
                            false};
@@ -378,6 +210,14 @@ SynthesisResult Pipeline::run(SynthesisContext& ctx) {
     }
     progress.finished = true;
     ctx.report_progress(progress);
+  }
+  if (state.assignment.process_count() == 0 && cancel.cancelled()) {
+    // Cancelled before any stage produced an assignment (e.g. a zero total
+    // budget): return the optimizer's starting point so the partial result
+    // still validates, as it does when the cancel lands inside the search.
+    const OptimizeOptions& opt = options.optimize;
+    state.assignment = greedy_initial(ctx.app(), ctx.arch(), ctx.model(),
+                                      opt.space, opt.max_checkpoints);
   }
   SynthesisResult result;
   result.assignment = std::move(state.assignment);

@@ -13,28 +13,19 @@
 // typed SynthesisState and report structured StageMetrics (evaluations,
 // cache hits/misses, wall-clock) that serialize to JSON.
 //
-// Two scheduling modes sit on top of the stage list:
-//
-//   * Speculative stage execution (options.speculate): table generation
-//     for the refinement's incumbent starts in the background when the
-//     refinement starts, hiding table latency when refinement does not
-//     improve (SpeculationTask below; adoption is bit-identical to the
-//     serial pipeline, asserted at adoption time).
-//   * A deadline watchdog (options.stage_budget_ms / total_budget_ms):
-//     the pipeline arms wall-clock budgets on the run's CancellationToken;
-//     the stages' parallel chunk bodies poll it, so an expired budget
-//     cancels within one chunk of work and the pipeline returns a
-//     well-formed partial result with its StageMetrics marked timed_out.
+// A deadline watchdog sits on top of the stage list
+// (options.stage_budget_ms / total_budget_ms): the pipeline arms
+// wall-clock budgets on the run's CancellationToken; the stages' parallel
+// chunk bodies poll it, so an expired budget cancels within one chunk of
+// work and the pipeline returns a well-formed partial result with its
+// StageMetrics marked timed_out.
 //
 // `synthesize()` (core/synthesis.h) is a thin wrapper over
 // Pipeline::default_pipeline() and produces bit-identical results.
 #pragma once
 
-#include <condition_variable>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -64,10 +55,7 @@ struct StageMetrics {
   /// the rebases that still had to rebuild from scratch.
   long long rebase_log_recorded = 0;
   long long rebase_full_builds = 0;
-  /// Of the recorded rebases, those that diffed a batch of >1 accepted
-  /// moves against the retained grand-base log, and the rebases forced to
-  /// a full rebuild by the snapshot-interval gate.
-  long long rebase_batched = 0;
+  /// Rebases forced to a full rebuild by the snapshot-interval gate.
   long long rebase_interval_mismatch = 0;
   /// Copy-on-write snapshot storage: rebase-record prefix snapshots
   /// adopted by reference vs bytes actually materialized into snapshots.
@@ -80,12 +68,6 @@ struct StageMetrics {
   long long search_tabu_rejected = 0;
   long long search_aspiration = 0;
   double seconds = 0.0;  ///< wall-clock of the stage
-  /// Speculative stage execution (SynthesisOptions::speculate): a hit
-  /// adopted the background result computed during refinement, a miss
-  /// discarded it (refinement improved, or the run was cancelled).
-  long long spec_hits = 0;
-  long long spec_misses = 0;
-  double spec_seconds = 0.0;  ///< wall-clock the speculative task spent
   /// Deadline watchdog: the stage was cut short by a wall-clock budget;
   /// cancel latency is how long it kept working past the cancellation
   /// (bounded by one chunk of work between cancellation points).
@@ -123,8 +105,6 @@ struct StageProgress {
 };
 using ProgressCallback = std::function<void(const StageProgress&)>;
 
-class SpeculationTask;
-
 /// The typed blackboard the stages read and write.
 struct SynthesisState {
   PolicyAssignment assignment;  ///< F and M (after the optimizer stages)
@@ -133,10 +113,6 @@ struct SynthesisState {
   std::optional<CondScheduleResult> schedule;  ///< S, if built
   bool schedulable = false;
   int evaluations = 0;          ///< objective evaluations, legacy counting
-  /// In-flight speculative table generation, launched by the pipeline when
-  /// the refinement stage starts and consumed (adopted or discarded) by
-  /// the schedule-table stage.
-  std::shared_ptr<SpeculationTask> speculation;
 };
 
 /// Shared per-run context: problem, options, pool, seed, progress and
@@ -199,93 +175,6 @@ class Stage {
   [[nodiscard]] virtual const char* name() const = 0;
   virtual void run(SynthesisContext& ctx, SynthesisState& state,
                    StageMetrics& metrics) = 0;
-  /// The stage only refines state.assignment in place: when speculation is
-  /// enabled the pipeline may start downstream table generation for the
-  /// incumbent while this stage runs.
-  [[nodiscard]] virtual bool refines_incumbent() const { return false; }
-  /// The stage consumes SynthesisState::speculation (adopting or
-  /// discarding it); the pipeline only launches speculation when such a
-  /// stage is still ahead.
-  [[nodiscard]] virtual bool consumes_speculation() const { return false; }
-};
-
-/// Speculative schedule-table generation (SynthesisOptions::speculate).
-///
-/// While CheckpointRefineStage iterates, the pipeline runs the
-/// ScheduleTableStage work for the refinement's *incumbent* assignment as
-/// a background task on the run's thread pool.  The task never touches
-/// the shared EvalContext -- it evaluates the full WCSL DP from scratch
-/// and builds tables through a private options copy -- so it is safe to
-/// run concurrently with the refinement.  Adoption rule: the consuming
-/// stage adopts the result iff refinement returned exactly the incumbent
-/// and the task's full-DP WCSL matches the evaluator's cached rows
-/// (asserting bit-identity with the serial pipeline); anything else
-/// discards it and rebuilds serially.
-class SpeculationTask {
- public:
-  /// Snapshots `incumbent` and submits the work to ctx.pool().  The task
-  /// keeps references into ctx (application/architecture); Pipeline::run
-  /// finishes or abandons it before returning, so they never dangle.
-  [[nodiscard]] static std::shared_ptr<SpeculationTask> launch(
-      SynthesisContext& ctx, const PolicyAssignment& incumbent);
-
-  [[nodiscard]] const PolicyAssignment& incumbent() const {
-    return incumbent_;
-  }
-
-  /// Claim-or-wait: a task the pool has not started yet runs inline on the
-  /// calling thread (a zero-worker pool still speculates correctly, it
-  /// just hides no latency); a running task is waited for.  Returns false
-  /// when the task was cancelled mid-run (its result is unusable).  An
-  /// exception the work threw (scheduler deadlock, bad_alloc) is rethrown
-  /// here -- exactly where the serial stage would have thrown it.
-  bool finish();
-
-  /// Cancels without joining: a running task observes the token at its
-  /// next poll and winds down on its own.  Use when the caller has better
-  /// things to do than wait (the discard path rebuilds tables serially
-  /// while the dead task drains); someone must still abandon() the task
-  /// before the context goes away -- Pipeline::run's drain guard does.
-  void discard() { cancel_.request_cancel(); }
-
-  /// Cancels and joins without consuming: a never-started task is marked
-  /// abandoned (its pool job becomes a no-op), a running one is cancelled
-  /// through its chained token and drained.  The join is bounded by one
-  /// chunk of the task's work -- one scenario simulation, or its single
-  /// full WCSL evaluation (which has no interior cancellation point).
-  void abandon();
-
-  /// Valid after finish() returned true.
-  [[nodiscard]] const WcslResult& wcsl() const { return wcsl_; }
-  [[nodiscard]] std::optional<CondScheduleResult>& schedule() {
-    return schedule_;
-  }
-  /// Wall-clock the task spent computing (0 when abandoned before start).
-  [[nodiscard]] double seconds() const { return seconds_; }
-
- private:
-  SpeculationTask(SynthesisContext& ctx, PolicyAssignment incumbent);
-  void run();       ///< pool entry: claim kPending -> kRunning, then work
-  void run_body();  ///< the ScheduleTableStage work against incumbent_
-
-  enum State { kPending, kRunning, kDone, kAbandoned };
-
-  const Application& app_;
-  const Architecture& arch_;
-  FaultModel model_;
-  CondScheduleOptions sched_;
-  bool build_tables_;
-  PolicyAssignment incumbent_;
-  CancellationToken cancel_;  ///< chained to the pipeline's token
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  State state_ = kPending;
-  bool ok_ = false;
-  std::exception_ptr error_;  ///< rethrown by finish(); abandon() swallows
-  WcslResult wcsl_;
-  std::optional<CondScheduleResult> schedule_;
-  double seconds_ = 0.0;
 };
 
 /// Tabu-search mapping + fault-tolerance policy assignment (src/opt).
@@ -307,7 +196,6 @@ class CheckpointRefineStage : public Stage {
   }
   void run(SynthesisContext& ctx, SynthesisState& state,
            StageMetrics& metrics) override;
-  [[nodiscard]] bool refines_incumbent() const override { return true; }
 };
 
 /// Final analytic WCSL + schedulability, plus conditional schedule tables
@@ -320,7 +208,6 @@ class ScheduleTableStage : public Stage {
   }
   void run(SynthesisContext& ctx, SynthesisState& state,
            StageMetrics& metrics) override;
-  [[nodiscard]] bool consumes_speculation() const override { return true; }
 };
 
 class Pipeline {

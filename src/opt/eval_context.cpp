@@ -169,23 +169,14 @@ std::int32_t EvalContext::single_diff_pid(const PolicyAssignment& base,
   return diffs == 1 ? diff_pid : -1;
 }
 
-void EvalContext::anchor_grand_base(const PolicyAssignment& base,
-                                    const ScheduleCheckpointLog& log) {
-  grand_base_ = base;
-  grand_log_ = log;  // the copy shares snapshot refs -- O(E) indices, 0
-                     // snapshot bytes
-  pending_.clear();
-  grand_valid_ = true;
-}
-
 void EvalContext::rebuild_base_schedule(const PolicyAssignment& base,
                                         ProcessId accepted) {
   // Accepted-move fast path: a new base differing from the old in exactly
-  // one plan replays the whole pending batch of accepted moves from the
-  // grand-base log's nearest safe snapshot while recording the new base's
-  // log (record-while-resuming) -- the resulting schedule AND log are
-  // bit-identical to a from-scratch build, and the log's prefix snapshots
-  // are shared with the grand anchor's by reference.
+  // one plan replays that move from the old log's nearest safe snapshot
+  // while recording the new base's log (record-while-resuming) -- the
+  // resulting schedule AND log are bit-identical to a from-scratch build,
+  // and the log's prefix snapshots are shared with the old log's by
+  // reference.
   std::int32_t diff_pid =
       base_has_log_ ? single_diff_pid(base, accepted) : -1;
   // A resume-recorded log inherits the old base's snapshot interval; take
@@ -200,23 +191,11 @@ void EvalContext::rebuild_base_schedule(const PolicyAssignment& base,
     diff_pid = -1;
   }
   if (diff_pid >= 0) {
-    // Extend the batched run, or open a fresh one anchored at the still-
-    // current base when none exists or the window is full (unbounded runs
-    // would push the shared resume point toward event 0).
-    if (!grand_valid_ || pending_.size() >= kRebaseBatchWindow) {
-      anchor_grand_base(base_, base_log_);
-    }
-    pending_.push_back(ProcessId{diff_pid});
     ScheduleCheckpointLog new_log;
     ListScheduleResumeStats rstats;
-    ListSchedule sched =
-        list_schedule_resume(app_, arch_, grand_base_, grand_log_, base,
-                             pending_, &rstats, &new_log);
-    base_sched_ = std::move(sched);
+    base_sched_ = list_schedule_resume(app_, arch_, base_, base_log_, base,
+                                       ProcessId{diff_pid}, &rstats, &new_log);
     base_log_ = std::move(new_log);
-    if (pending_.size() > 1) {
-      rebase_batched_.fetch_add(1, std::memory_order_relaxed);
-    }
     snapshot_refs_shared_.fetch_add(
         static_cast<long long>(rstats.snapshots_shared),
         std::memory_order_relaxed);
@@ -235,17 +214,13 @@ void EvalContext::rebuild_base_schedule(const PolicyAssignment& base,
           static_cast<long long>(rstats.events_replayed),
           std::memory_order_relaxed);
     } else {
-      // No snapshot preceded the batch's first affected event: the
+      // No snapshot preceded the move's first affected event: the
       // recording run degenerated to a (still log-producing) full build.
-      // Re-anchor so the next acceptance starts a fresh window instead of
-      // shrinking this one's resume point further.
       rebase_full_builds_.fetch_add(1, std::memory_order_relaxed);
-      anchor_grand_base(base, base_log_);
     }
   } else {
     base_sched_ = list_schedule(app_, arch_, base, base_log_);
     rebase_full_builds_.fetch_add(1, std::memory_order_relaxed);
-    anchor_grand_base(base, base_log_);
   }
   base_has_log_ = true;
 }
@@ -257,7 +232,7 @@ EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
   // Winning-move cache: when the new base is the old base with exactly one
   // plan replaced, and that (process, plan) matches a cached candidate,
   // adopt the candidate's DAG + DP rows wholesale.  Only the fault-free
-  // schedule remains -- rebuilt by record-while-resuming from the grand
+  // schedule remains -- rebuilt by record-while-resuming from the old
   // log (its checkpoint log must describe the new base) -- so the accept
   // step pays neither the DP nor a from-scratch schedule build.
   if (base_has_dp_) {
@@ -283,7 +258,7 @@ EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
         }
       }
       if (hit) {
-        rebuild_base_schedule(base, accepted);  // resumes from the grand log
+        rebuild_base_schedule(base, accepted);  // resumes from the old log
         base_ = base;
         ++version_;
         rebuild_base_lookups();
@@ -296,7 +271,7 @@ EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
   }
 
   invalidate_winner_cache();
-  rebuild_base_schedule(base, accepted);  // resumes from the grand log
+  rebuild_base_schedule(base, accepted);  // resumes from the old log
   base_ = base;
   ++version_;
   base_dag_ = build_wcsl_dag(app_, arch_, base_, k, base_sched_);
@@ -536,7 +511,6 @@ EvalStats EvalContext::stats() const {
   s.rebase_log_events_replayed =
       rebase_log_events_replayed_.load(std::memory_order_relaxed);
   s.rebase_full_builds = rebase_full_builds_.load(std::memory_order_relaxed);
-  s.rebase_batched = rebase_batched_.load(std::memory_order_relaxed);
   s.rebase_interval_mismatch =
       rebase_interval_mismatch_.load(std::memory_order_relaxed);
   s.snapshot_refs_shared =

@@ -30,7 +30,9 @@
 //     move is replayed from the old log's nearest safe snapshot while a
 //     complete log for the new base is emitted
 //     (list_schedule_resume(..., record)), so accepting a move no longer
-//     pays a from-scratch schedule build to stay resumable.
+//     pays a from-scratch schedule build to stay resumable.  When the
+//     move keeps the copy layout, the new log shares the old log's prefix
+//     snapshots by reference (copy-on-write, util/snapshot_store.h).
 //
 // Results are bit-identical to a from-scratch evaluation: the resumed list
 // schedule is exact by construction (property-tested against full
@@ -157,20 +159,15 @@ class EvalContext {
   void invalidate_winner_cache();
   /// Rebuilds base_sched_ + base_log_ for `base` (the member base_ still
   /// holds the OLD base): record-while-resuming when the bases differ in
-  /// exactly one plan and a log exists, from-scratch otherwise.  Accepted
-  /// moves are re-recorded as a batch against the retained grand-base log
-  /// (see grand_base_), so consecutive acceptances share prefix snapshots
-  /// with one anchor instead of chaining per-move copies.  `accepted`
-  /// as for rebase().
+  /// exactly one plan and a log exists, from-scratch otherwise.  The new
+  /// log shares its prefix snapshots with the old one by reference.
+  /// `accepted` as for rebase().
   void rebuild_base_schedule(const PolicyAssignment& base, ProcessId accepted);
   /// The single plan in which `base` differs from the cached base_, or -1
   /// for none/many.  O(1) when the `accepted` hint is valid (debug-checked
   /// against a full scan), O(P) otherwise.
   [[nodiscard]] std::int32_t single_diff_pid(const PolicyAssignment& base,
                                              ProcessId accepted) const;
-  /// Re-anchors the grand base to (base, log) and clears the pending run.
-  void anchor_grand_base(const PolicyAssignment& base,
-                         const ScheduleCheckpointLog& log);
   void rebuild_base_lookups();
   [[nodiscard]] Outcome outcome_from_base_rows() const;
   [[nodiscard]] Time penalized_cost(const std::vector<Time>& process_finish,
@@ -198,23 +195,6 @@ class EvalContext {
   std::vector<int> base_msg_vertex_;
   std::vector<std::vector<int>> base_sorted_preds_;
 
-  // Batched-accept anchor: consecutive accepted moves are re-recorded as
-  // one *batch* against this retained grand base + log (multi-move
-  // record-while-resuming) instead of each resuming from its immediate
-  // predecessor.  Every recorded log in the run then shares its prefix
-  // snapshots with the one anchor (structural sharing, no chained
-  // copies), while staying bit-identical to a from-scratch log of the
-  // current base.  The run is capped at kRebaseBatchWindow moves -- the
-  // resume point is the min over the whole batch, so an unbounded run
-  // would degenerate toward full replays -- and re-anchored (cheap: log
-  // copies share snapshot refs) when the cap is hit or any full rebuild
-  // breaks the chain.
-  static constexpr std::size_t kRebaseBatchWindow = 2;
-  bool grand_valid_ = false;
-  PolicyAssignment grand_base_;
-  ScheduleCheckpointLog grand_log_;
-  std::vector<ProcessId> pending_;  ///< accepted since the grand anchor
-
   std::mutex ws_mutex_;
   std::vector<std::unique_ptr<Workspace>> idle_ws_;
 
@@ -239,7 +219,6 @@ class EvalContext {
   std::atomic<long long> rebase_log_events_resumed_{0};
   std::atomic<long long> rebase_log_events_replayed_{0};
   std::atomic<long long> rebase_full_builds_{0};
-  std::atomic<long long> rebase_batched_{0};
   std::atomic<long long> rebase_interval_mismatch_{0};
   std::atomic<long long> snapshot_refs_shared_{0};
   std::atomic<long long> snapshot_bytes_copied_{0};

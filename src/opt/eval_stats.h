@@ -43,9 +43,6 @@ struct EvalStats {
   /// replayed suffix -- the time cost the snapshot prefix did not avoid).
   long long rebase_log_events_replayed = 0;
   long long rebase_full_builds = 0;  ///< rebase schedules built from scratch
-  /// Rebase records that diffed a batch of >1 accepted moves against the
-  /// retained grand-base log instead of re-recording one move at a time.
-  long long rebase_batched = 0;
   /// Interval-gate misses: accepted-move rebases forced to a full rebuild
   /// because the new base's default snapshot interval no longer matches
   /// the retained log's (the gate that keeps recorded logs bit-identical).
@@ -96,7 +93,6 @@ struct EvalStats {
     rebase_log_events_resumed += other.rebase_log_events_resumed;
     rebase_log_events_replayed += other.rebase_log_events_replayed;
     rebase_full_builds += other.rebase_full_builds;
-    rebase_batched += other.rebase_batched;
     rebase_interval_mismatch += other.rebase_interval_mismatch;
     snapshot_refs_shared += other.snapshot_refs_shared;
     snapshot_bytes_copied += other.snapshot_bytes_copied;
@@ -124,7 +120,6 @@ struct EvalStats {
     d.rebase_log_events_resumed -= earlier.rebase_log_events_resumed;
     d.rebase_log_events_replayed -= earlier.rebase_log_events_replayed;
     d.rebase_full_builds -= earlier.rebase_full_builds;
-    d.rebase_batched -= earlier.rebase_batched;
     d.rebase_interval_mismatch -= earlier.rebase_interval_mismatch;
     d.snapshot_refs_shared -= earlier.snapshot_refs_shared;
     d.snapshot_bytes_copied -= earlier.snapshot_bytes_copied;

@@ -92,22 +92,16 @@ class SearchProblem {
   [[nodiscard]] virtual Time evaluate(const Move& move) = 0;
 
   /// Re-anchors incremental state (typically EvalContext::rebase) onto the
-  /// incumbent; called once before the first iteration -- the return value
-  /// is the incumbent's starting objective -- and after every acceptance
-  /// (the engine then keeps the accepted candidate's evaluated objective,
-  /// which equals the return value bit-for-bit).
-  virtual Time commit(const PolicyAssignment& current) = 0;
-
-  /// Acceptance commit: `current` is the previous incumbent with exactly
-  /// `accepted` applied.  Problems backed by an EvalContext override this
-  /// to forward the accepted process as a rebase hint (the O(P) diff scan
-  /// per acceptance collapses to O(1) and the batched rebase path
-  /// engages); the default ignores the hint.
-  virtual Time commit_accept(const PolicyAssignment& current,
-                             const Move& accepted) {
-    (void)accepted;
-    return commit(current);
-  }
+  /// incumbent; called once before the first iteration with `accepted` ==
+  /// nullptr -- the return value is the incumbent's starting objective --
+  /// and after every acceptance with the accepted move, `current` being
+  /// the previous incumbent with exactly that move applied (the engine
+  /// then keeps the accepted candidate's evaluated objective, which equals
+  /// the return value bit-for-bit).  Problems backed by an EvalContext
+  /// forward accepted->pid as the rebase hint, so the single-plan diff per
+  /// acceptance is O(1) instead of an O(P) scan.
+  virtual Time commit(const PolicyAssignment& current,
+                      const Move* accepted) = 0;
 };
 
 struct SearchOptions {

@@ -542,18 +542,6 @@ ListSchedule list_schedule_resume(const Application& app,
                                   ProcessId moved,
                                   ListScheduleResumeStats* stats,
                                   ScheduleCheckpointLog* record) {
-  return list_schedule_resume(app, arch, base, log, candidate,
-                              std::vector<ProcessId>{moved}, stats, record);
-}
-
-ListSchedule list_schedule_resume(const Application& app,
-                                  const Architecture& arch,
-                                  const PolicyAssignment& base,
-                                  const ScheduleCheckpointLog& log,
-                                  const PolicyAssignment& candidate,
-                                  const std::vector<ProcessId>& moved,
-                                  ListScheduleResumeStats* stats,
-                                  ScheduleCheckpointLog* record) {
   ListScheduleResumeStats local;
   Scheduler s(app, arch, candidate);
   s.build_static();
@@ -567,95 +555,68 @@ ListSchedule list_schedule_resume(const Application& app,
         base.plan(ProcessId{i}).copy_count();
   }
   const int base_total = base_first[static_cast<std::size_t>(process_count)];
+  const int base_first_p = base_first[static_cast<std::size_t>(moved.get())];
+  const int base_p_end = base_first[static_cast<std::size_t>(moved.get()) + 1];
+  const int cand_p_count = candidate.plan(moved).copy_count();
+  const int delta = cand_p_count - (base_p_end - base_first_p);
 
-  // The moved set, deduplicated into ascending pid order.
-  std::vector<char> is_moved(static_cast<std::size_t>(process_count), 0);
-  for (const ProcessId p : moved) {
-    is_moved[static_cast<std::size_t>(p.get())] = 1;
-  }
-  std::vector<ProcessId> mv;
-  mv.reserve(moved.size());
-  for (int i = 0; i < process_count; ++i) {
-    if (is_moved[static_cast<std::size_t>(i)]) mv.push_back(ProcessId{i});
-  }
-
-  std::vector<int> base_proc(static_cast<std::size_t>(base_total), 0);
-  for (int i = 0; i < process_count; ++i) {
-    for (int bv = base_first[static_cast<std::size_t>(i)];
-         bv < base_first[static_cast<std::size_t>(i) + 1]; ++bv) {
-      base_proc[static_cast<std::size_t>(bv)] = i;
-    }
-  }
   const auto moved_vertex = [&](int bv) {
-    return is_moved[static_cast<std::size_t>(
-               base_proc[static_cast<std::size_t>(bv)])] != 0;
+    return bv >= base_first_p && bv < base_p_end;
   };
-  // Candidate vertex of a non-moved base vertex.  Monotone in bv: within
-  // a process the offset is constant and the per-process blocks keep
-  // their relative order, so remapped sorted lists stay sorted.
+  // Candidate vertex of a non-moved base vertex: the moved process's
+  // successors in vertex order shift by its copy-count change.  Monotone
+  // in bv, so remapped sorted lists stay sorted.
   const auto remap = [&](int bv) {
     assert(!moved_vertex(bv));
-    const int bp = base_proc[static_cast<std::size_t>(bv)];
-    return s.first_copy[static_cast<std::size_t>(bp)] +
-           (bv - base_first[static_cast<std::size_t>(bp)]);
+    return bv < base_first_p ? bv : bv + delta;
   };
-  // When every moved process keeps its copy count the remap is the
-  // identity and prefix snapshots are *bitwise* equal to what a
-  // from-scratch candidate build would record (canonical, rank-free, and
-  // free of moved-copy state before the first affected event) -- the
-  // condition for sharing them by reference instead of copying.
-  const bool layout_same = s.first_copy == base_first;
+  // When the moved process keeps its copy count the remap is the identity
+  // and prefix snapshots are *bitwise* equal to what a from-scratch
+  // candidate build would record (canonical, rank-free, and free of
+  // moved-copy state before the first affected event) -- the condition
+  // for sharing them by reference instead of copying.
+  const bool layout_same = delta == 0;
 
   // ---- first affected event --------------------------------------------
   //
   // The candidate run provably coincides with the base run up to (not
   // including) `limit`:
-  //   * a moved process's copies cannot be selected before they are
+  //   * the moved process's copies cannot be selected before they are
   //     ready (avail_event; their readiness index is move-invariant
   //     because it is produced by unaffected producer deliveries),
   //   * a producer placement whose inbound-to-moved message flips between
   //     local delivery and a bus transmission behaves differently, so it
   //     must be replayed (placed_event),
-  //   * a vertex whose priority rank changed (every ancestor of a moved
+  //   * a vertex whose priority rank changed (every ancestor of the moved
   //     process, typically) can win or lose start-time ties -- but ranks
   //     decide *only* such ties, and ready-queue entries are transplanted
   //     with the candidate's ranks below, so the resume point only has to
   //     precede the vertex's first recorded tie, not its readiness.
-  // Everything else depends only on data the moves do not touch.  For a
-  // batch of moves the bound is the min over the whole set.
+  // Everything else depends only on data the move does not touch.
   std::size_t limit = log.event_count;
-  for (const ProcessId mp : mv) {
-    const int p = mp.get();
-    for (int bv = base_first[static_cast<std::size_t>(p)];
-         bv < base_first[static_cast<std::size_t>(p) + 1]; ++bv) {
-      limit = std::min(limit, log.avail_event[static_cast<std::size_t>(bv)]);
-    }
-    for (MessageId mid : app.inputs(mp)) {
-      const Message& m = app.message(mid);
-      // A moved producer's placements all happen at/after `limit` (its
-      // copies' readiness bounds limit, and a copy is placed no earlier
-      // than it becomes available), so they are replayed regardless of
-      // how the message flips -- no check needed.
-      if (is_moved[static_cast<std::size_t>(m.src.get())]) continue;
-      const ProcessPlan& sp = base.plan(m.src);
-      const ProcessPlan& base_dp = base.plan(mp);
-      const ProcessPlan& cand_dp = candidate.plan(mp);
-      for (int sj = 0; sj < sp.copy_count(); ++sj) {
-        const NodeId sn = sp.copies[static_cast<std::size_t>(sj)].node;
-        bool cross_base = false;
-        for (const CopyPlan& d : base_dp.copies) {
-          if (d.node != sn) cross_base = true;
-        }
-        bool cross_cand = false;
-        for (const CopyPlan& d : cand_dp.copies) {
-          if (d.node != sn) cross_cand = true;
-        }
-        if (cross_base != cross_cand) {
-          limit = std::min(
-              limit, log.placed_event[static_cast<std::size_t>(
-                         base_first[static_cast<std::size_t>(m.src.get())] +
-                         sj)]);
-        }
+  for (int bv = base_first_p; bv < base_p_end; ++bv) {
+    limit = std::min(limit, log.avail_event[static_cast<std::size_t>(bv)]);
+  }
+  const ProcessPlan& base_dp = base.plan(moved);
+  const ProcessPlan& cand_dp = candidate.plan(moved);
+  for (MessageId mid : app.inputs(moved)) {
+    const Message& m = app.message(mid);
+    const ProcessPlan& sp = base.plan(m.src);
+    for (int sj = 0; sj < sp.copy_count(); ++sj) {
+      const NodeId sn = sp.copies[static_cast<std::size_t>(sj)].node;
+      bool cross_base = false;
+      for (const CopyPlan& d : base_dp.copies) {
+        if (d.node != sn) cross_base = true;
+      }
+      bool cross_cand = false;
+      for (const CopyPlan& d : cand_dp.copies) {
+        if (d.node != sn) cross_cand = true;
+      }
+      if (cross_base != cross_cand) {
+        limit = std::min(
+            limit, log.placed_event[static_cast<std::size_t>(
+                       base_first[static_cast<std::size_t>(m.src.get())] +
+                       sj)]);
       }
     }
   }
@@ -670,8 +631,8 @@ ListSchedule list_schedule_resume(const Application& app,
     bool involves_moved = false;
     for (const int bv : tie.contenders) {
       if (moved_vertex(bv)) {
-        // Unreachable while limit <= every moved process's readiness, but
-        // be conservative if it ever is.
+        // Unreachable while limit <= the moved process's readiness, but be
+        // conservative if it ever is.
         involves_moved = true;
         break;
       }
@@ -721,12 +682,9 @@ ListSchedule list_schedule_resume(const Application& app,
     // ---- transplant the snapshot into the candidate's vertex space ------
     const std::size_t cand_total = s.verts.size();
 #ifndef NDEBUG
-    for (const ProcessId mp : mv) {
-      // Moved processes are untouched before the resume point.
-      for (int bv = base_first[static_cast<std::size_t>(mp.get())];
-           bv < base_first[static_cast<std::size_t>(mp.get()) + 1]; ++bv) {
-        assert(!snap->placed[static_cast<std::size_t>(bv)]);
-      }
+    // The moved process is untouched before the resume point.
+    for (int bv = base_first_p; bv < base_p_end; ++bv) {
+      assert(!snap->placed[static_cast<std::size_t>(bv)]);
     }
 #endif
 
@@ -769,34 +727,26 @@ ListSchedule list_schedule_resume(const Application& app,
     }
     // All copies of one process share (deps_left, data_ready): deliveries
     // broadcast to every copy and the predecessor count is independent of
-    // the process's own plan.  Seed every moved process's candidate copies
-    // from its base copy 0, then adjust the consumers of moved producers
-    // whose copy count changed (one dependency per producer copy; no
-    // deliveries from moved producers happened yet).  The adjustment runs
-    // after the seeding so a moved consumer of a moved producer is
-    // corrected too.
-    for (const ProcessId mp : mv) {
-      const int bf = base_first[static_cast<std::size_t>(mp.get())];
-      const int shared_deps = snap->deps_left[static_cast<std::size_t>(bf)];
-      const Time shared_ready =
-          snap->data_ready[static_cast<std::size_t>(bf)];
-      const int count = candidate.plan(mp).copy_count();
-      for (int j = 0; j < count; ++j) {
-        const std::size_t cv = static_cast<std::size_t>(s.vertex_of(mp, j));
-        s.deps_left[cv] = shared_deps;
-        s.data_ready[cv] = shared_ready;
-      }
+    // the process's own plan.  Seed the candidate's copies from base copy
+    // 0, then adjust the moved process's consumers when its copy count
+    // changed (one dependency per producer copy; no deliveries from the
+    // moved process happened yet).
+    const int shared_deps =
+        snap->deps_left[static_cast<std::size_t>(base_first_p)];
+    const Time shared_ready =
+        snap->data_ready[static_cast<std::size_t>(base_first_p)];
+    for (int j = 0; j < cand_p_count; ++j) {
+      const std::size_t cv = static_cast<std::size_t>(s.vertex_of(moved, j));
+      s.deps_left[cv] = shared_deps;
+      s.data_ready[cv] = shared_ready;
     }
-    for (const ProcessId mp : mv) {
-      const int delta_p =
-          candidate.plan(mp).copy_count() - base.plan(mp).copy_count();
-      if (delta_p == 0) continue;
-      for (MessageId mid : app.outputs(mp)) {
+    if (delta != 0) {
+      for (MessageId mid : app.outputs(moved)) {
         const Message& m = app.message(mid);
         const int count = candidate.plan(m.dst).copy_count();
         for (int dj = 0; dj < count; ++dj) {
           s.deps_left[static_cast<std::size_t>(s.vertex_of(m.dst, dj))] +=
-              delta_p;
+              delta;
         }
       }
     }
@@ -811,23 +761,20 @@ ListSchedule list_schedule_resume(const Application& app,
     // Ready queue: keep unaffected entries' start keys (move-invariant),
     // stamp each with the *candidate's* rank -- a rank change only breaks
     // future ties, which the resume-point bound already guarantees did not
-    // occur in the kept prefix -- and re-derive the moved processes'
+    // occur in the kept prefix -- and re-derive the moved process's
     // entries with the candidate's mapping and rank.
     std::vector<ReadyEntry> entries;
-    entries.reserve(snap->ready_heap.size() + mv.size());
+    entries.reserve(snap->ready_heap.size() +
+                    static_cast<std::size_t>(cand_p_count));
     for (const SnapshotReadyEntry& e : snap->ready_heap) {
       if (moved_vertex(e.vertex)) continue;
       const int cv = remap(e.vertex);
       entries.push_back(
           ReadyEntry{e.start, s.rank[static_cast<std::size_t>(cv)], cv});
     }
-    for (const ProcessId mp : mv) {
-      if (s.deps_left[static_cast<std::size_t>(s.vertex_of(mp, 0))] != 0) {
-        continue;
-      }
-      const int count = candidate.plan(mp).copy_count();
-      for (int j = 0; j < count; ++j) {
-        const int cv = s.vertex_of(mp, j);
+    if (shared_deps == 0) {
+      for (int j = 0; j < cand_p_count; ++j) {
+        const int cv = s.vertex_of(moved, j);
         entries.push_back(ReadyEntry{
             s.start_of(cv), s.rank[static_cast<std::size_t>(cv)], cv});
       }
@@ -848,11 +795,11 @@ ListSchedule list_schedule_resume(const Application& app,
       // replay's own recording.
       record->rank = s.rank;
       if (layout_same) {
-        // Identity remap: per-vertex indices transplant wholesale.  Moved
-        // copies' base values are correct too -- their readiness index is
-        // shared per process and move-invariant, and their placed entries
-        // (base suffix placements) are overwritten when the replay places
-        // them.
+        // Identity remap: per-vertex indices transplant wholesale.  The
+        // moved copies' base values are correct too -- their readiness
+        // index is shared per process and move-invariant, and their placed
+        // entries (base suffix placements) are overwritten when the replay
+        // places them.
         record->avail_event = log.avail_event;
         record->placed_event = log.placed_event;
       } else {
@@ -866,19 +813,15 @@ ListSchedule list_schedule_resume(const Application& app,
           record->placed_event[cv] =
               log.placed_event[static_cast<std::size_t>(bv)];
         }
-        // All copies of one process share their readiness index.  When a
-        // moved process's last inbound delivery happened in the prefix,
-        // the replay never re-delivers it, so the index must come from the
+        // All copies of one process share their readiness index.  When the
+        // moved process's last inbound delivery happened in the prefix, the
+        // replay never re-delivers it, so the index must come from the
         // base; a delivery during replay overwrites it.
-        for (const ProcessId mp : mv) {
-          const std::size_t shared_avail =
-              log.avail_event[static_cast<std::size_t>(
-                  base_first[static_cast<std::size_t>(mp.get())])];
-          const int count = candidate.plan(mp).copy_count();
-          for (int j = 0; j < count; ++j) {
-            record->avail_event[static_cast<std::size_t>(
-                s.vertex_of(mp, j))] = shared_avail;
-          }
+        const std::size_t shared_avail =
+            log.avail_event[static_cast<std::size_t>(base_first_p)];
+        for (int j = 0; j < cand_p_count; ++j) {
+          record->avail_event[static_cast<std::size_t>(
+              s.vertex_of(moved, j))] = shared_avail;
         }
       }
       for (const ScheduleCheckpointLog::StartTie& tie : log.ties) {
@@ -937,31 +880,24 @@ ListSchedule list_schedule_resume(const Application& app,
           ns.partial.copies[cv] =
               bs.partial.copies[static_cast<std::size_t>(bv)];
         }
-        // Same seeding rules as the dynamic-state transplant above.
-        for (const ProcessId mp : mv) {
-          const int bf = base_first[static_cast<std::size_t>(mp.get())];
-          const int snap_deps = bs.deps_left[static_cast<std::size_t>(bf)];
-          const Time snap_ready =
-              bs.data_ready[static_cast<std::size_t>(bf)];
-          const int count = candidate.plan(mp).copy_count();
-          for (int j = 0; j < count; ++j) {
-            const std::size_t cv =
-                static_cast<std::size_t>(s.vertex_of(mp, j));
-            ns.deps_left[cv] = snap_deps;
-            ns.data_ready[cv] = snap_ready;
-          }
+        // Same seeding rules as the dynamic-state transplant above (this
+        // path only runs when the copy count changed, so delta != 0).
+        const int snap_deps =
+            bs.deps_left[static_cast<std::size_t>(base_first_p)];
+        const Time snap_ready =
+            bs.data_ready[static_cast<std::size_t>(base_first_p)];
+        for (int j = 0; j < cand_p_count; ++j) {
+          const std::size_t cv =
+              static_cast<std::size_t>(s.vertex_of(moved, j));
+          ns.deps_left[cv] = snap_deps;
+          ns.data_ready[cv] = snap_ready;
         }
-        for (const ProcessId mp : mv) {
-          const int delta_p =
-              candidate.plan(mp).copy_count() - base.plan(mp).copy_count();
-          if (delta_p == 0) continue;
-          for (MessageId mid : app.outputs(mp)) {
-            const Message& m = app.message(mid);
-            const int count = candidate.plan(m.dst).copy_count();
-            for (int dj = 0; dj < count; ++dj) {
-              ns.deps_left[static_cast<std::size_t>(
-                  s.vertex_of(m.dst, dj))] += delta_p;
-            }
+        for (MessageId mid : app.outputs(moved)) {
+          const Message& m = app.message(mid);
+          const int count = candidate.plan(m.dst).copy_count();
+          for (int dj = 0; dj < count; ++dj) {
+            ns.deps_left[static_cast<std::size_t>(s.vertex_of(m.dst, dj))] +=
+                delta;
           }
         }
         ns.partial.node_order.assign(

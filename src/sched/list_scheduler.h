@@ -236,7 +236,7 @@ struct ListScheduleResumeStats {
 /// suffix records its events, ties and snapshots live, and the skipped
 /// prefix is transplanted from `log` (event indices and tie groups are
 /// move-invariant before the resume point).  Prefix snapshots are
-/// copy-on-write: when every moved process keeps its copy count they are
+/// copy-on-write: when the moved process keeps its copy count they are
 /// *shared by reference* (bit-identical by construction -- snapshots are
 /// canonical and rank-free), otherwise they are materialized remapped
 /// into the candidate's vertex space; either way the recorded log
@@ -251,21 +251,6 @@ struct ListScheduleResumeStats {
     const Application& app, const Architecture& arch,
     const PolicyAssignment& base, const ScheduleCheckpointLog& log,
     const PolicyAssignment& candidate, ProcessId moved,
-    ListScheduleResumeStats* stats = nullptr,
-    ScheduleCheckpointLog* record = nullptr);
-
-/// Multi-move resume: `candidate` is `base` with the plans of every
-/// process in `moved` replaced (a batch of accepted moves diffed against
-/// a retained grand-base log).  The resume point is bounded by the
-/// earliest first-affected event over the whole set; everything else --
-/// bit-identity, record-while-resuming, snapshot sharing -- behaves as in
-/// the single-move overload (which forwards here).  `moved` may name
-/// processes whose plan is in fact unchanged (treated conservatively) and
-/// may be empty (candidate == base: resumes from the last snapshot).
-[[nodiscard]] ListSchedule list_schedule_resume(
-    const Application& app, const Architecture& arch,
-    const PolicyAssignment& base, const ScheduleCheckpointLog& log,
-    const PolicyAssignment& candidate, const std::vector<ProcessId>& moved,
     ListScheduleResumeStats* stats = nullptr,
     ScheduleCheckpointLog* record = nullptr);
 

@@ -1,9 +1,8 @@
 // Cooperative cancellation with an optional deadline watchdog.
 //
 // One CancellationToken is shared by everything a synthesis run spawns: the
-// pipeline, the optimizers' parallel_for chunk bodies, the conditional
-// scheduler's per-scenario simulations, and any speculative background
-// tasks.  Cancellation has two sources:
+// pipeline, the optimizers' parallel_for chunk bodies, and the conditional
+// scheduler's per-scenario simulations.  Cancellation has two sources:
 //
 //   * request_cancel() -- an external caller (a UI, a batch supervisor, a
 //     watchdog *thread* in tests) flips the flag directly; and
@@ -12,18 +11,19 @@
 //     This is the *cooperative* watchdog path: no extra thread exists, the
 //     workers polling at their cancellation points are the watchdog.  The
 //     cancel latency is therefore bounded by one chunk of work between
-//     polls -- one candidate evaluation, one scenario simulation, or a
-//     speculative task's single full WCSL evaluation (the one chunk with
-//     no interior cancellation point).
+//     polls -- one candidate evaluation, one scenario simulation, or the
+//     schedule-table stage's full WCSL evaluation (usually served from the
+//     evaluator's cached rows).
 //
-// Tokens chain: a child token (e.g. a speculative table-generation task)
-// observes its parent's *flag*, so cancelling the run cancels the
-// speculation, while discarding the speculation (cancelling the child)
-// leaves the run alive.  A child deliberately does NOT evaluate the
-// parent's armed deadlines: deadlines are enforced only by the threads
-// the pipeline owns, so a background task can never flip a stage budget
-// in the window between a stage completing under budget and the pipeline
-// clearing the stage deadline.
+// Tokens chain: a job of the synthesis server (serve/job_server.h) chains
+// its run's token to the server-wide token with set_parent(), so the
+// job observes the server's *flag* -- cancel_all() winds down every
+// in-flight job -- while a job cancelled on its own (an expired budget, a
+// request) leaves the server and the other jobs alive.  A child
+// deliberately does NOT evaluate the parent's armed deadlines: a token's
+// budgets are enforced only by the threads polling that token, so one
+// job's workers can never flip the shared parent and cancel every other
+// job with it.
 //
 // Determinism: in a run that is never cancelled, poll() only reads relaxed
 // atomics (and the clock, whose value it ignores), so polling sites do not
@@ -50,12 +50,11 @@ class CancelledError : public std::runtime_error {
 class CancellationToken {
  public:
   CancellationToken() = default;
-  /// A child token: poll()/cancelled() also observe `parent`, which must
-  /// outlive this token.  Cancelling the child does not touch the parent.
-  explicit CancellationToken(CancellationToken* parent) : parent_(parent) {}
 
-  /// Late parent attachment for tokens whose owner constructs them (e.g.
-  /// a SynthesisContext inside a server job chaining to the server-wide
+  /// Makes this a child token: poll()/cancelled() also observe `parent`,
+  /// which must outlive this token; cancelling the child does not touch
+  /// the parent.  Used by owners that construct the token themselves (a
+  /// SynthesisContext inside a server job chaining to the server-wide
   /// shutdown token).  Must be called before the token is shared with
   /// other threads: parent_ is an unsynchronized pointer, published by
   /// whatever handoff starts those threads.

@@ -351,47 +351,6 @@ TEST(ListSchedulerIncremental, ChainedConsecutiveAcceptsStayBitIdentical) {
   }
 }
 
-// The batched-accept path's primitive: one resume against a base log with
-// a *set* of moved processes (the multi-move overload) must be
-// bit-identical -- schedule and recorded log -- to a from-scratch build
-// of the candidate, for random move sets of all three families.
-TEST(ListSchedulerIncremental, MultiMoveResumeMatchesFullRebuild) {
-  const Instance inst = make_instance(22, 3, 909);
-  const FaultModel model{2};
-  PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
-                                         PolicySpace::kCheckpointingOnly, 8);
-  ScheduleCheckpointLog log;
-  (void)list_schedule(inst.app, inst.arch, base, log);
-
-  Rng rng(31337);
-  for (int round = 0; round < 40; ++round) {
-    const std::size_t move_count = 2 + rng.index(2);  // 2 or 3 moved plans
-    std::vector<ProcessId> moved;
-    PolicyAssignment candidate = base;
-    for (std::size_t m = 0; m < move_count; ++m) {
-      const ProcessId pid{static_cast<std::int32_t>(
-          rng.index(static_cast<std::size_t>(inst.app.process_count())))};
-      candidate.plan(pid) = random_move(inst, base, pid, model, rng);
-      moved.push_back(pid);  // duplicates allowed: the resume dedups
-    }
-
-    ListScheduleResumeStats stats;
-    ScheduleCheckpointLog recorded;
-    const ListSchedule resumed = list_schedule_resume(
-        inst.app, inst.arch, base, log, candidate, moved, &stats, &recorded);
-    ScheduleCheckpointLog scratch;
-    const ListSchedule full = list_schedule(inst.app, inst.arch, candidate,
-                                            scratch, log.snapshot_interval);
-    expect_identical(resumed, full, "multi-move", round);
-    expect_log_identical(recorded, scratch, round);
-
-    if (round % 7 == 0) {  // occasionally accept the whole batch
-      base = std::move(candidate);
-      log = std::move(recorded);
-    }
-  }
-}
-
 TEST(ListSchedulerIncremental, ResumeActuallySkipsEventsForSinkMoves) {
   const Instance inst = make_instance(30, 3, 77);
   const FaultModel model{2};
@@ -478,15 +437,13 @@ TEST(ListSchedulerIncremental, OptimizerCountersAreThreadCountInvariant) {
             parallel.eval_stats.rebase_cache_hits);
   EXPECT_EQ(serial.eval_stats.dp_vertices_reused,
             parallel.eval_stats.dp_vertices_reused);
-  // The accepted-move rebase path (batching, copy-on-write sharing) runs
+  // The accepted-move rebase path (copy-on-write sharing) runs
   // on the serial accept step, so its counters -- including raw byte
   // counts -- must be exactly thread-count invariant too.
   EXPECT_EQ(serial.eval_stats.rebase_log_recorded,
             parallel.eval_stats.rebase_log_recorded);
   EXPECT_EQ(serial.eval_stats.rebase_log_events_replayed,
             parallel.eval_stats.rebase_log_events_replayed);
-  EXPECT_EQ(serial.eval_stats.rebase_batched,
-            parallel.eval_stats.rebase_batched);
   EXPECT_EQ(serial.eval_stats.rebase_interval_mismatch,
             parallel.eval_stats.rebase_interval_mismatch);
   EXPECT_EQ(serial.eval_stats.snapshot_refs_shared,

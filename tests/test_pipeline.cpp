@@ -170,6 +170,8 @@ TEST(Pipeline, CancelBeforeRunSkipsEveryStage) {
 
   EXPECT_EQ(result.evaluations, 0);
   EXPECT_FALSE(result.schedulable);
+  // Even with no stage run the partial result carries a valid assignment.
+  EXPECT_NO_THROW(result.assignment.validate(f.app, FaultModel{2}));
   ASSERT_EQ(pipeline.metrics().size(), 3u);
   for (const StageMetrics& m : pipeline.metrics()) {
     EXPECT_TRUE(m.skipped) << m.stage;
@@ -221,14 +223,27 @@ TEST(Pipeline, StageMetricsCountEvaluationsAndCacheHits) {
 
 TEST(Pipeline, SkippedRefineStageIsReported) {
   auto f = fig5_app();
-  SynthesisOptions opts = quick(2, 5);
-  opts.refine_checkpoints = false;
-  SynthesisContext ctx(f.app, f.arch, opts);
-  Pipeline pipeline = Pipeline::default_pipeline();
-  (void)pipeline.run(ctx);
-  EXPECT_TRUE(pipeline.metrics()[1].skipped);
-  EXPECT_FALSE(pipeline.metrics()[0].skipped);
-  EXPECT_FALSE(pipeline.metrics()[2].skipped);
+  {
+    SynthesisOptions opts = quick(2, 5);
+    opts.refine_checkpoints = false;
+    SynthesisContext ctx(f.app, f.arch, opts);
+    Pipeline pipeline = Pipeline::default_pipeline();
+    const SynthesisResult result = pipeline.run(ctx);
+    EXPECT_TRUE(pipeline.metrics()[1].skipped);
+    EXPECT_FALSE(pipeline.metrics()[0].skipped);
+    EXPECT_FALSE(pipeline.metrics()[2].skipped);
+    ASSERT_TRUE(result.schedule.has_value());
+  }
+  {
+    // --no-tables: the table stage still runs the final analysis but
+    // builds no schedule.
+    SynthesisOptions opts = quick(2, 7);
+    opts.build_schedule_tables = false;
+    SynthesisContext ctx(f.app, f.arch, opts);
+    Pipeline pipeline = Pipeline::default_pipeline();
+    const SynthesisResult result = pipeline.run(ctx);
+    EXPECT_FALSE(result.schedule.has_value());
+  }
 }
 
 TEST(Pipeline, MetricsSerializeToJson) {
@@ -243,125 +258,11 @@ TEST(Pipeline, MetricsSerializeToJson) {
   EXPECT_NE(json.find("\"stage\": \"schedule_tables\""), std::string::npos);
   EXPECT_NE(json.find("\"cache_hits\""), std::string::npos);
   EXPECT_NE(json.find("\"seconds\""), std::string::npos);
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(json.back(), ']');
-}
-
-// --- speculative stage execution ---------------------------------------------
-
-// The headline property of SynthesisOptions::speculate: the result must be
-// bit-identical to the serial pipeline for random apps/archs/seeds/thread
-// counts, whether the speculation is adopted (refinement did not improve)
-// or discarded (it did).  Exactly one speculation is launched per run and
-// accounted as a hit or a miss.
-TEST(Pipeline, SpeculationBitIdenticalAcrossMatrix) {
-  ThreadPool pool(3);  // real helpers even on single-core hosts
-  struct Config {
-    int processes, nodes, k;
-    std::uint64_t seed;
-  };
-  for (const Config& cfg : {Config{10, 2, 2, 5}, Config{14, 3, 2, 9},
-                            Config{12, 2, 3, 23}}) {
-    const Instance inst = make_instance(cfg.processes, cfg.nodes, cfg.seed);
-    for (int threads : {1, 4}) {
-      SynthesisOptions opts = quick(cfg.k, cfg.seed);
-      opts.optimize.threads = threads;
-      opts.optimize.pool = &pool;
-      // Keep the scenario tree buildable so tables exercise the adoption.
-      opts.schedule.max_scenarios = 300000;
-
-      SynthesisContext serial_ctx(inst.app, inst.arch, opts);
-      Pipeline serial = Pipeline::default_pipeline();
-      const SynthesisResult serial_result = serial.run(serial_ctx);
-
-      opts.speculate = true;
-      SynthesisContext spec_ctx(inst.app, inst.arch, opts);
-      Pipeline spec = Pipeline::default_pipeline();
-      const SynthesisResult spec_result = spec.run(spec_ctx);
-
-      expect_same_result(serial_result, spec_result);
-      const StageMetrics& tables = spec.metrics()[2];
-      EXPECT_EQ(tables.spec_hits + tables.spec_misses, 1)
-          << "exactly one speculation per run (procs=" << cfg.processes
-          << " threads=" << threads << ")";
-      EXPECT_GE(tables.spec_seconds, 0.0);
-      // The serial pipeline never speculates.
-      EXPECT_EQ(serial.metrics()[2].spec_hits, 0);
-      EXPECT_EQ(serial.metrics()[2].spec_misses, 0);
-    }
-  }
-}
-
-// Forced adoption: with max_checkpoints = 1 the refinement has no legal
-// candidate counts, so it never improves and the speculative tables MUST be
-// adopted -- pinning the hit path (and its runtime assertion against the
-// evaluator's cached rows) deterministically.
-TEST(Pipeline, SpeculationAdoptedWhenRefinementCannotImprove) {
-  auto f = fig5_app();
-  ThreadPool pool(3);
-  for (int threads : {1, 4}) {
-    SynthesisOptions opts = quick(2, 41);
-    opts.optimize.max_checkpoints = 1;
-    opts.optimize.threads = threads;
-    opts.optimize.pool = &pool;
-
-    SynthesisContext serial_ctx(f.app, f.arch, opts);
-    Pipeline serial = Pipeline::default_pipeline();
-    const SynthesisResult serial_result = serial.run(serial_ctx);
-
-    opts.speculate = true;
-    SynthesisContext spec_ctx(f.app, f.arch, opts);
-    Pipeline spec = Pipeline::default_pipeline();
-    const SynthesisResult spec_result = spec.run(spec_ctx);
-
-    expect_same_result(serial_result, spec_result);
-    ASSERT_TRUE(spec_result.schedule.has_value());
-    EXPECT_EQ(spec.metrics()[2].spec_hits, 1);
-    EXPECT_EQ(spec.metrics()[2].spec_misses, 0);
-  }
-}
-
-// Speculation without a table stage to consume it (--no-tables) must not
-// launch at all; with refinement disabled it still adopts cleanly.
-TEST(Pipeline, SpeculationRespectsDisabledStages) {
-  auto f = fig5_app();
-  {
-    SynthesisOptions opts = quick(2, 7);
-    opts.speculate = true;
-    opts.build_schedule_tables = false;
-    SynthesisContext ctx(f.app, f.arch, opts);
-    Pipeline pipeline = Pipeline::default_pipeline();
-    const SynthesisResult result = pipeline.run(ctx);
-    EXPECT_FALSE(result.schedule.has_value());
-    EXPECT_EQ(pipeline.metrics()[2].spec_hits, 0);
-    EXPECT_EQ(pipeline.metrics()[2].spec_misses, 0);
-  }
-  {
-    SynthesisOptions opts = quick(2, 7);
-    opts.speculate = true;
-    opts.refine_checkpoints = false;  // refine no-ops -> incumbent survives
-    SynthesisContext ctx(f.app, f.arch, opts);
-    Pipeline pipeline = Pipeline::default_pipeline();
-    const SynthesisResult result = pipeline.run(ctx);
-    ASSERT_TRUE(result.schedule.has_value());
-    EXPECT_EQ(pipeline.metrics()[2].spec_hits, 1);
-  }
-}
-
-// The new StageMetrics fields must serialize (schema in docs/CLI.md).
-TEST(Pipeline, SpeculationAndWatchdogFieldsSerializeToJson) {
-  auto f = fig5_app();
-  SynthesisOptions opts = quick(2, 9);
-  opts.speculate = true;
-  SynthesisContext ctx(f.app, f.arch, opts);
-  Pipeline pipeline = Pipeline::default_pipeline();
-  (void)pipeline.run(ctx);
-  const std::string json = metrics_to_json(pipeline.metrics());
-  EXPECT_NE(json.find("\"spec_hits\""), std::string::npos);
-  EXPECT_NE(json.find("\"spec_misses\""), std::string::npos);
-  EXPECT_NE(json.find("\"spec_seconds\""), std::string::npos);
+  // Deadline watchdog fields (schema in docs/CLI.md).
   EXPECT_NE(json.find("\"timed_out\": false"), std::string::npos);
   EXPECT_NE(json.find("\"cancel_latency_seconds\""), std::string::npos);
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_EQ(json.back(), ']');
 }
 
 // A custom pipeline: running only the policy-assignment stage must leave
