@@ -1,6 +1,7 @@
 #include "app/application.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -21,6 +22,7 @@ Time Process::wcet_on(NodeId n) const {
 ProcessId Application::add_process(Process p) {
   if (p.name.empty()) p.name = "P" + std::to_string(processes_.size() + 1);
   processes_.push_back(std::move(p));
+  topo_.order.reset();
   in_edges_.emplace_back();
   out_edges_.emplace_back();
   return ProcessId{static_cast<std::int32_t>(processes_.size() - 1)};
@@ -46,6 +48,7 @@ MessageId Application::add_message(Message m) {
   if (m.src == m.dst) throw std::invalid_argument("self-message");
   if (m.name.empty()) m.name = "m" + std::to_string(messages_.size() + 1);
   messages_.push_back(std::move(m));
+  topo_.order.reset();
   const MessageId id{static_cast<std::int32_t>(messages_.size() - 1)};
   const Message& stored = messages_.back();
   out_edges_[static_cast<std::size_t>(stored.src.get())].push_back(id);
@@ -115,7 +118,10 @@ std::vector<ProcessId> Application::successors(ProcessId p) const {
   return result;
 }
 
-std::vector<ProcessId> Application::topological_order() const {
+const std::vector<ProcessId>& Application::topological_order() const {
+  std::shared_ptr<const std::vector<ProcessId>> cached =
+      std::atomic_load(&topo_.order);
+  if (cached) return *cached;
   std::vector<int> indegree(processes_.size(), 0);
   for (const Message& m : messages_) {
     ++indegree[static_cast<std::size_t>(m.dst.get())];
@@ -139,7 +145,12 @@ std::vector<ProcessId> Application::topological_order() const {
   if (order.size() != processes_.size()) {
     throw std::invalid_argument("application graph has a cycle");
   }
-  return order;
+  // First store wins, so no racing call can free an order another returned.
+  auto fresh = std::make_shared<const std::vector<ProcessId>>(std::move(order));
+  if (std::atomic_compare_exchange_strong(&topo_.order, &cached, fresh)) {
+    cached = std::move(fresh);
+  }
+  return *cached;
 }
 
 std::vector<ProcessId> Application::roots() const {

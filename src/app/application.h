@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -131,8 +132,10 @@ class Application {
   [[nodiscard]] std::vector<ProcessId> successors(ProcessId p) const;
 
   /// Topological order of processes; throws std::invalid_argument if the
-  /// graph has a cycle.
-  [[nodiscard]] std::vector<ProcessId> topological_order() const;
+  /// graph has a cycle.  Computed once and cached until the next
+  /// add_process/add_message (concurrent calls are safe; the reference stays
+  /// valid until then).
+  [[nodiscard]] const std::vector<ProcessId>& topological_order() const;
 
   /// Source processes (no inputs).
   [[nodiscard]] std::vector<ProcessId> roots() const;
@@ -154,6 +157,20 @@ class Application {
   std::vector<std::vector<MessageId>> out_edges_;
   Time deadline_ = kTimeInfinity;
   Time period_ = 0;
+  /// topological_order() cache, read and filled with the std::atomic_*
+  /// shared_ptr functions.  A copy starts empty, so copying an Application
+  /// never races with a concurrent fill of the source's cache.  (noexcept
+  /// keeps Application nothrow-movable, so containers move, not copy, it.)
+  struct TopoCache {
+    TopoCache() = default;
+    TopoCache(const TopoCache& /*other*/) noexcept {}
+    TopoCache& operator=(const TopoCache& /*other*/) noexcept {
+      order.reset();
+      return *this;
+    }
+    std::shared_ptr<const std::vector<ProcessId>> order;
+  };
+  mutable TopoCache topo_;
 };
 
 }  // namespace ftes

@@ -3,10 +3,11 @@
 // The tabu optimizers and the checkpoint refinement evaluate tens of
 // thousands of candidates per run, each differing from an incumbent
 // assignment in a single process plan.  Evaluating a candidate from
-// scratch pays three times: a full PolicyAssignment copy per candidate, a
-// full fault-free list schedule rebuild, and a full budgeted-longest-path
-// DP (sched/wcsl.h) over the augmented schedule DAG.  EvalContext removes
-// all three costs:
+// scratch pays four times: a full PolicyAssignment copy per candidate, a
+// full fault-free list schedule rebuild, a fresh augmented schedule DAG
+// (sched/wcsl.h) with its topological order, and a full
+// budgeted-longest-path DP over it.  EvalContext removes or shrinks all
+// four:
 //
 //   * Moves are expressed as (process, new ProcessPlan) against a cached
 //     *base* assignment.  Per-thread workspaces materialize a candidate by
@@ -16,6 +17,12 @@
 //     (sched/list_scheduler.h); a candidate's schedule resumes from the
 //     last snapshot that provably precedes any placement the move can
 //     affect instead of replaying the whole event sequence.
+//   * Each workspace builds the candidate's DAG (CSR form, topological
+//     order included) into buffers it keeps across evaluations, with
+//     build_wcsl_dag_into, and resizes -- never clears -- its DP rows, so
+//     a warmed-up workspace evaluates without allocating DAG or row
+//     storage.  (A DAG and rows moved into the winning-move cache below
+//     are re-grown by the next build; the edge-list scratch stays put.)
 //   * The base's DP rows are cached.  A candidate's augmented DAG is
 //     diffed against the base's: a vertex whose release, weight table and
 //     predecessor set are unchanged, and whose predecessors are all clean,
@@ -114,6 +121,7 @@ class EvalContext {
     std::uint64_t version = 0;
     ListSchedule sched;
     WcslDag dag;
+    CsrDag::EdgeList dag_edges;  ///< build scratch, never cached
     std::vector<std::vector<Time>> L;
     std::vector<int> to_base;
     std::vector<char> clean;
@@ -186,6 +194,7 @@ class EvalContext {
   ListSchedule base_sched_;
   ScheduleCheckpointLog base_log_;
   WcslDag base_dag_;
+  CsrDag::EdgeList base_dag_edges_;
   std::vector<std::vector<Time>> base_L_;
   // (message, source copy) -> base transmission vertex via prefix offsets
   // over the *base* plan shapes; -1 for keys absent from the base schedule.
@@ -193,7 +202,6 @@ class EvalContext {
   // by construction, see ListSchedule::first_copy.)
   std::vector<int> base_first_tx_;
   std::vector<int> base_msg_vertex_;
-  std::vector<std::vector<int>> base_sorted_preds_;
 
   std::mutex ws_mutex_;
   std::vector<std::unique_ptr<Workspace>> idle_ws_;

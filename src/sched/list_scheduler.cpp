@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "fault/recovery.h"
-#include "graph/digraph.h"
 #include "util/binary_heap.h"
 
 namespace ftes {
@@ -63,6 +62,49 @@ Time fault_free_duration(const Application& app, const CopyPlan& copy,
   return replica_exec_time(params);
 }
 
+std::vector<Time> copy_priority_ranks(const Application& app,
+                                      const Architecture& arch,
+                                      const PolicyAssignment& assignment) {
+  std::vector<int> first(static_cast<std::size_t>(app.process_count()) + 1, 0);
+  for (int i = 0; i < app.process_count(); ++i) {
+    first[static_cast<std::size_t>(i) + 1] =
+        first[static_cast<std::size_t>(i)] +
+        assignment.plan(ProcessId{i}).copy_count();
+  }
+  std::vector<Time> rank(static_cast<std::size_t>(first.back()), 0);
+  // Largest rank among a process's copies: the successor term of every copy
+  // of each of its producers.
+  std::vector<Time> process_rank(static_cast<std::size_t>(app.process_count()),
+                                 0);
+  const std::vector<ProcessId>& order = app.topological_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const ProcessId pid = *it;
+    Time succ = 0;
+    for (MessageId mid : app.outputs(pid)) {
+      succ = std::max(succ, process_rank[static_cast<std::size_t>(
+                                app.message(mid).dst.get())]);
+    }
+    const ProcessPlan& plan = assignment.plan(pid);
+    Time& best = process_rank[static_cast<std::size_t>(pid.get())];
+    for (int j = 0; j < plan.copy_count(); ++j) {
+      const CopyPlan& copy = plan.copies[static_cast<std::size_t>(j)];
+      // Communication is approximated by the worst-case bus duration of the
+      // heaviest outgoing message; exact slot timing is resolved during the
+      // actual placement.
+      Time comm = 0;
+      for (MessageId mid : app.outputs(pid)) {
+        comm = std::max(comm, arch.bus().worst_case_duration(
+                                  copy.node, app.message(mid).size));
+      }
+      const Time r = succ + fault_free_duration(app, copy, pid) + comm;
+      rank[static_cast<std::size_t>(first[static_cast<std::size_t>(
+                                        pid.get())] + j)] = r;
+      best = std::max(best, r);
+    }
+  }
+  return rank;
+}
+
 PolicyAssignment strip_fault_tolerance(const Application& app,
                                        const PolicyAssignment& reference) {
   PolicyAssignment stripped(app.process_count());
@@ -97,12 +139,7 @@ std::size_t count_total_events(const Application& app,
     const ProcessPlan& sp = assignment.plan(m.src);
     const ProcessPlan& dp = assignment.plan(m.dst);
     for (const CopyPlan& s : sp.copies) {
-      for (const CopyPlan& d : dp.copies) {
-        if (d.node != s.node) {
-          ++events;
-          break;
-        }
-      }
+      if (sends_over_bus(dp, s.node)) ++events;
     }
   }
   return events;
@@ -160,10 +197,10 @@ struct TxLess {
   }
 };
 
-/// One list-scheduling run: static problem data (copy vertices, precedence
-/// graph, priorities) plus the dynamic event-loop state.  The dynamic state
-/// either starts fresh (full build) or is restored from a base run's
-/// ScheduleSnapshot with the moved process's vertices re-derived (resume).
+/// One list-scheduling run: static problem data (copy vertices, priorities)
+/// plus the dynamic event-loop state.  The dynamic state either starts fresh
+/// (full build) or is restored from a base run's ScheduleSnapshot with the
+/// moved process's vertices re-derived (resume).
 class Scheduler {
  public:
   Scheduler(const Application& app, const Architecture& arch,
@@ -197,31 +234,7 @@ class Scheduler {
       }
     }
 
-    // Copy-level precedence graph (producer copy -> consumer copy).
-    g = Digraph(static_cast<int>(verts.size()));
-    for (const Message& m : app_.messages()) {
-      const ProcessPlan& sp = assignment_.plan(m.src);
-      const ProcessPlan& dp = assignment_.plan(m.dst);
-      for (int sj = 0; sj < sp.copy_count(); ++sj) {
-        for (int dj = 0; dj < dp.copy_count(); ++dj) {
-          g.add_edge(vertex_of(m.src, sj), vertex_of(m.dst, dj));
-        }
-      }
-    }
-
-    // Priorities: partial critical path (durations + worst-case bus).
-    rank = g.critical_path_from([&](int v) {
-      // Approximate communication by the worst-case bus duration of the
-      // process's heaviest outgoing message; exact slot timing is resolved
-      // during the actual placement below.
-      const CopyVertex& cv = verts[static_cast<std::size_t>(v)];
-      Time comm = 0;
-      for (MessageId mid : app_.outputs(cv.ref.process)) {
-        comm = std::max(comm, arch_.bus().worst_case_duration(
-                                  cv.node, app_.message(mid).size));
-      }
-      return cv.duration + comm;
-    });
+    rank = copy_priority_ranks(app_, arch_, assignment_);
   }
 
   [[nodiscard]] int vertex_of(ProcessId p, int copy) const {
@@ -243,10 +256,17 @@ class Scheduler {
     node_free.assign(static_cast<std::size_t>(arch_.node_count()), 0);
     placed.assign(verts.size(), 0);
     data_ready.assign(verts.size(), 0);
+    // One dependency per (inbound message, producer copy), shared by all
+    // copies of the consumer.
     deps_left.assign(verts.size(), 0);
-    for (std::size_t v = 0; v < verts.size(); ++v) {
-      deps_left[v] =
-          static_cast<int>(g.predecessors(static_cast<int>(v)).size());
+    for (int i = 0; i < app_.process_count(); ++i) {
+      int deps = 0;
+      for (MessageId mid : app_.inputs(ProcessId{i})) {
+        deps += assignment_.plan(app_.message(mid).src).copy_count();
+      }
+      std::fill(deps_left.begin() + first_copy[static_cast<std::size_t>(i)],
+                deps_left.begin() + first_copy[static_cast<std::size_t>(i) + 1],
+                deps);
     }
     remaining = verts.size();
     if (log) {
@@ -344,12 +364,7 @@ class Scheduler {
     // Emit deliveries / enqueue transmissions for outgoing messages.
     for (MessageId mid : app_.outputs(cv.ref.process)) {
       const Message& m = app_.message(mid);
-      const ProcessPlan& dp = assignment_.plan(m.dst);
-      bool cross_node = false;
-      for (const CopyPlan& d : dp.copies) {
-        if (d.node != cv.node) cross_node = true;
-      }
-      if (cross_node) {
+      if (sends_over_bus(assignment_.plan(m.dst), cv.node)) {
         txq.push(TxEntry{sc.finish, mid.get(), tx_seq++, cv.ref.copy,
                          cv.node});
       } else {
@@ -471,7 +486,6 @@ class Scheduler {
   // Static problem data.
   std::vector<CopyVertex> verts;
   std::vector<int> first_copy;
-  Digraph g;
   std::vector<Time> rank;
 
   // Dynamic event-loop state.
@@ -604,15 +618,7 @@ ListSchedule list_schedule_resume(const Application& app,
     const ProcessPlan& sp = base.plan(m.src);
     for (int sj = 0; sj < sp.copy_count(); ++sj) {
       const NodeId sn = sp.copies[static_cast<std::size_t>(sj)].node;
-      bool cross_base = false;
-      for (const CopyPlan& d : base_dp.copies) {
-        if (d.node != sn) cross_base = true;
-      }
-      bool cross_cand = false;
-      for (const CopyPlan& d : cand_dp.copies) {
-        if (d.node != sn) cross_cand = true;
-      }
-      if (cross_base != cross_cand) {
+      if (sends_over_bus(base_dp, sn) != sends_over_bus(cand_dp, sn)) {
         limit = std::min(
             limit, log.placed_event[static_cast<std::size_t>(
                        base_first[static_cast<std::size_t>(m.src.get())] +

@@ -254,9 +254,32 @@ struct ListScheduleResumeStats {
     ListScheduleResumeStats* stats = nullptr,
     ScheduleCheckpointLog* record = nullptr);
 
+/// Whether a producer copy on `producer_node` sends a message to the
+/// `consumer` over the bus: exactly when some consumer copy sits on another
+/// node (otherwise the data is delivered locally).  The one definition of
+/// which (message, producer copy) pairs become transmissions.
+[[nodiscard]] inline bool sends_over_bus(const ProcessPlan& consumer,
+                                         NodeId producer_node) {
+  for (const CopyPlan& d : consumer.copies) {
+    if (d.node != producer_node) return true;
+  }
+  return false;
+}
+
 /// Fault-free duration of one copy under its plan (E(n,0) or C).
 [[nodiscard]] Time fault_free_duration(const Application& app,
                                        const CopyPlan& copy, ProcessId pid);
+
+/// Partial critical path priority of every copy, indexed by copy vertex
+/// (`first_copy[p] + j`): the copy's fault-free duration plus the
+/// worst-case bus duration of its process's heaviest outgoing message, plus
+/// the largest rank among the copies of its consumers.  Copy precedence is
+/// complete-bipartite per message, so this is one reverse walk over the
+/// process topological order.  Throws std::invalid_argument on a cyclic
+/// application.
+[[nodiscard]] std::vector<Time> copy_priority_ranks(
+    const Application& app, const Architecture& arch,
+    const PolicyAssignment& assignment);
 
 /// Convenience: the non-fault-tolerant baseline assignment -- one copy per
 /// process, no checkpoints/recoveries, mapped as `reference` maps copy 0.

@@ -1,10 +1,10 @@
 #include "sched/wcsl.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "fault/recovery.h"
-#include "graph/digraph.h"
 
 namespace ftes {
 
@@ -20,65 +20,94 @@ bool WcslResult::meets_deadlines(const Application& app) const {
   return true;
 }
 
-WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
-                       const PolicyAssignment& assignment, int k,
-                       const ListSchedule& schedule) {
-  WcslDag a;
+void CsrDag::assign(int vertex_count, const EdgeList& edges) {
+  const std::size_t n = static_cast<std::size_t>(vertex_count);
+  // Counting sort of the edges by source (stable: edge-list order), then by
+  // destination walking the sources in ascending order -- which is what
+  // sorts every predecessor row.  Counts go to first[v + 2] so that the
+  // placement cursor first[v + 1]++ ends exactly at the row boundaries.
+  const auto count_rows = [&](std::vector<int>& first, bool by_source) {
+    first.assign(n + 2, 0);
+    for (const auto& [from, to] : edges) {
+      ++first[static_cast<std::size_t>(by_source ? from : to) + 2];
+    }
+    for (std::size_t i = 2; i < n + 2; ++i) first[i] += first[i - 1];
+  };
+  count_rows(succ_first_, true);
+  succs_.resize(edges.size());
+  for (const auto& [from, to] : edges) {
+    succs_[static_cast<std::size_t>(
+        succ_first_[static_cast<std::size_t>(from) + 1]++)] = to;
+  }
+  count_rows(pred_first_, false);
+  preds_.resize(edges.size());
+  for (std::size_t u = 0; u < n; ++u) {
+    for (int i = succ_first_[u]; i < succ_first_[u + 1]; ++i) {
+      const std::size_t to = static_cast<std::size_t>(
+          succs_[static_cast<std::size_t>(i)]);
+      preds_[static_cast<std::size_t>(pred_first_[to + 1]++)] =
+          static_cast<int>(u);
+    }
+  }
+  succ_first_.pop_back();
+  pred_first_.pop_back();
+
+  // Kahn with a FIFO queue (the order itself), sources in ascending id.
+  indegree_.resize(n);
+  order_.clear();
+  for (std::size_t v = 0; v < n; ++v) {
+    indegree_[v] = pred_first_[v + 1] - pred_first_[v];
+    if (indegree_[v] == 0) order_.push_back(static_cast<int>(v));
+  }
+  for (std::size_t head = 0; head < order_.size(); ++head) {
+    const std::size_t v = static_cast<std::size_t>(order_[head]);
+    for (int i = succ_first_[v]; i < succ_first_[v + 1]; ++i) {
+      const int s = succs_[static_cast<std::size_t>(i)];
+      if (--indegree_[static_cast<std::size_t>(s)] == 0) order_.push_back(s);
+    }
+  }
+  if (order_.size() != n) {
+    order_.clear();
+    throw std::invalid_argument("schedule DAG has a cycle");
+  }
+}
+
+void build_wcsl_dag_into(WcslDag& a, CsrDag::EdgeList& edges,
+                         const Application& app, const Architecture& arch,
+                         const PolicyAssignment& assignment, int k,
+                         const ListSchedule& schedule) {
   a.copy_count = static_cast<int>(schedule.copies.size());
   a.msg_count = static_cast<int>(schedule.messages.size());
+  a.k = k;
   const int total = a.copy_count + a.msg_count;
-  a.g = Digraph(total);
+  edges.clear();
 
   // Copy vertices are prefix-indexed by construction of the list scheduler
   // (copy j of process p sits at schedule.first_copy[p] + j), so the
-  // (process, copy) -> vertex lookup is pure arithmetic; this builder runs
-  // once per objective evaluation, so no maps and no scan here.
-  std::vector<int> first_copy(
-      static_cast<std::size_t>(app.process_count()) + 1, 0);
-  for (int p = 0; p < app.process_count(); ++p) {
-    first_copy[static_cast<std::size_t>(p) + 1] =
-        first_copy[static_cast<std::size_t>(p)] +
-        assignment.plan(ProcessId{p}).copy_count();
-  }
-  const auto cv = [&](std::int32_t process, int copy) {
-    return first_copy[static_cast<std::size_t>(process)] + copy;
+  // (process, copy) -> vertex lookup is pure arithmetic.
+  const auto cv = [&](ProcessId process, int copy) {
+    return schedule.first_copy[static_cast<std::size_t>(process.get())] + copy;
   };
 
   // Data edges.  Cross-node messages go through their transmission vertex;
-  // co-located flow is a direct edge.  Same flat scheme for the
-  // (message, source copy) -> transmission lookup.
-  std::vector<int> first_tx(static_cast<std::size_t>(app.message_count()) + 1,
-                            0);
-  for (int mi = 0; mi < app.message_count(); ++mi) {
-    first_tx[static_cast<std::size_t>(mi) + 1] =
-        first_tx[static_cast<std::size_t>(mi)] +
-        assignment.plan(app.message(MessageId{mi}).src).copy_count();
-  }
-  std::vector<int> tx_of(
-      static_cast<std::size_t>(first_tx[static_cast<std::size_t>(
-          app.message_count())]),
-      -1);
+  // co-located flow is a direct edge.
   for (int m = 0; m < a.msg_count; ++m) {
     const ScheduledMessage& sm = schedule.messages[static_cast<std::size_t>(m)];
-    tx_of[static_cast<std::size_t>(
-        first_tx[static_cast<std::size_t>(sm.msg.get())] + sm.src_copy)] = m;
-    a.g.add_edge(cv(app.message(sm.msg).src.get(), sm.src_copy),
-                 a.msg_vertex(m));
+    const Message& msg = app.message(sm.msg);
+    edges.emplace_back(cv(msg.src, sm.src_copy), a.msg_vertex(m));
+    for (int dj = 0; dj < assignment.plan(msg.dst).copy_count(); ++dj) {
+      edges.emplace_back(a.msg_vertex(m), cv(msg.dst, dj));
+    }
   }
-  for (int mi = 0; mi < app.message_count(); ++mi) {
-    const Message& msg = app.message(MessageId{mi});
+  for (const Message& msg : app.messages()) {
     const ProcessPlan& sp = assignment.plan(msg.src);
     const ProcessPlan& dp = assignment.plan(msg.dst);
     for (int sj = 0; sj < sp.copy_count(); ++sj) {
-      const int tx = tx_of[static_cast<std::size_t>(
-          first_tx[static_cast<std::size_t>(mi)] + sj)];
+      if (sends_over_bus(dp, sp.copies[static_cast<std::size_t>(sj)].node)) {
+        continue;  // a transmission, edged above
+      }
       for (int dj = 0; dj < dp.copy_count(); ++dj) {
-        const int dst_v = cv(msg.dst.get(), dj);
-        if (tx >= 0) {
-          a.g.add_edge(a.msg_vertex(tx), dst_v);
-        } else {
-          a.g.add_edge(cv(msg.src.get(), sj), dst_v);
-        }
+        edges.emplace_back(cv(msg.src, sj), cv(msg.dst, dj));
       }
     }
   }
@@ -86,17 +115,18 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
   // Resource edges: static order on each node and on the bus.
   for (const auto& order : schedule.node_order) {
     for (std::size_t i = 1; i < order.size(); ++i) {
-      a.g.add_edge(order[i - 1], order[i]);
+      edges.emplace_back(order[i - 1], order[i]);
     }
   }
   for (std::size_t i = 1; i < schedule.bus_order.size(); ++i) {
-    a.g.add_edge(a.msg_vertex(schedule.bus_order[i - 1]),
-                 a.msg_vertex(schedule.bus_order[i]));
+    edges.emplace_back(a.msg_vertex(schedule.bus_order[i - 1]),
+                       a.msg_vertex(schedule.bus_order[i]));
   }
+  a.g.assign(total, edges);
 
   // Per-vertex weight tables w_v(f), f = 0..k.
-  a.weight.assign(static_cast<std::size_t>(total),
-                  std::vector<Time>(static_cast<std::size_t>(k) + 1, 0));
+  const std::size_t stride = static_cast<std::size_t>(k) + 1;
+  a.weight.resize(static_cast<std::size_t>(total) * stride);
   a.release.assign(static_cast<std::size_t>(total), 0);
   for (int i = 0; i < a.copy_count; ++i) {
     const ScheduledCopy& sc = schedule.copies[static_cast<std::size_t>(i)];
@@ -106,56 +136,60 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
     RecoveryParams params{proc.wcet_on(sc.node), proc.alpha, proc.mu,
                           proc.chi};
     a.release[static_cast<std::size_t>(i)] = proc.release;
+    Time* w = a.weight.data() + static_cast<std::size_t>(i) * stride;
     for (int f = 0; f <= k; ++f) {
-      Time w;
-      if (cp.checkpoints >= 1) {
-        w = checkpointed_exec_time(params, cp.checkpoints,
-                                   std::min(f, cp.recoveries));
-      } else {
-        w = replica_exec_time(params);
-      }
-      a.weight[static_cast<std::size_t>(i)][static_cast<std::size_t>(f)] = w;
+      w[f] = cp.checkpoints >= 1
+                 ? checkpointed_exec_time(params, cp.checkpoints,
+                                          std::min(f, cp.recoveries))
+                 : replica_exec_time(params);
     }
   }
   for (int m = 0; m < a.msg_count; ++m) {
     const ScheduledMessage& sm = schedule.messages[static_cast<std::size_t>(m)];
-    const Time w =
-        arch.bus().worst_case_duration(sm.sender, app.message(sm.msg).size);
-    for (int f = 0; f <= k; ++f) {
-      a.weight[static_cast<std::size_t>(a.msg_vertex(m))]
-              [static_cast<std::size_t>(f)] = w;
-    }
+    Time* w = a.weight.data() +
+              static_cast<std::size_t>(a.msg_vertex(m)) * stride;
+    std::fill(w, w + stride,
+              arch.bus().worst_case_duration(sm.sender,
+                                             app.message(sm.msg).size));
   }
-  return a;
+}
+
+WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
+                       const PolicyAssignment& assignment, int k,
+                       const ListSchedule& schedule) {
+  WcslDag dag;
+  CsrDag::EdgeList edges;
+  build_wcsl_dag_into(dag, edges, app, arch, assignment, k, schedule);
+  return dag;
 }
 
 Time wcsl_dp_row(const WcslDag& dag, int v,
                  const std::vector<std::vector<Time>>& L, int k,
                  std::vector<Time>& row) {
-  // best_in[b] = max over predecessors p of L(p, b); nondecreasing in b by
-  // construction of L.  Faults spent on a transmission never help the
-  // adversary (constant weight), so the DP naturally assigns f = 0 there.
-  std::vector<Time> best_in(static_cast<std::size_t>(k) + 1, 0);
+  // First row[b] = best_in[b] = max over predecessors p of L(p, b);
+  // nondecreasing in b by construction of L.  Faults spent on a
+  // transmission never help the adversary (constant weight), so the DP
+  // naturally assigns f = 0 there.
+  row.assign(static_cast<std::size_t>(k) + 1, 0);
   for (int p : dag.g.predecessors(v)) {
-    for (int b = 0; b <= k; ++b) {
-      best_in[static_cast<std::size_t>(b)] = std::max(
-          best_in[static_cast<std::size_t>(b)],
-          L[static_cast<std::size_t>(p)][static_cast<std::size_t>(b)]);
+    const std::vector<Time>& in = L[static_cast<std::size_t>(p)];
+    for (std::size_t b = 0; b < row.size(); ++b) {
+      row[b] = std::max(row[b], in[b]);
     }
   }
-  row.assign(static_cast<std::size_t>(k) + 1, 0);
-  for (int b = 0; b <= k; ++b) {
+  const Time in_k = row[static_cast<std::size_t>(k)];
+  // Then L(v, b) in place, b descending: it reads best_in[0..b] only.
+  const Time release = dag.release[static_cast<std::size_t>(v)];
+  const Time* w = dag.weight_row(v);
+  for (int b = k; b >= 0; --b) {
     Time best = 0;
     for (int f = 0; f <= b; ++f) {
-      const Time start =
-          std::max(dag.release[static_cast<std::size_t>(v)],
-                   best_in[static_cast<std::size_t>(b - f)]);
-      best = std::max(best, start + dag.weight[static_cast<std::size_t>(v)]
-                                              [static_cast<std::size_t>(f)]);
+      best = std::max(
+          best, std::max(release, row[static_cast<std::size_t>(b - f)]) + w[f]);
     }
     row[static_cast<std::size_t>(b)] = best;
   }
-  return best_in[static_cast<std::size_t>(k)];
+  return in_k;
 }
 
 namespace {
@@ -261,8 +295,7 @@ WcslResult worst_case_transparent(const Application& app,
       s = std::max(s, finish[static_cast<std::size_t>(p)]);
     }
     start[static_cast<std::size_t>(v)] = s;
-    finish[static_cast<std::size_t>(v)] =
-        s + a.weight[static_cast<std::size_t>(v)][static_cast<std::size_t>(k)];
+    finish[static_cast<std::size_t>(v)] = s + a.weight_row(v)[k];
     fill_result_vertex(result, schedule, a, v, s,
                        finish[static_cast<std::size_t>(v)]);
   }

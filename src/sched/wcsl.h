@@ -24,18 +24,24 @@
 // fault-free schedule is kept (the run-time scheduler can only do better),
 // and transmissions pay the full worst-case round wait.
 //
-// Thread safety: every function here is pure -- all inputs are taken by
-// const reference, and no global or cached state exists -- so concurrent
-// calls on shared Application/Architecture/PolicyAssignment objects are
-// safe.  The parallel optimizers (opt/) and the batch runner (batch/) rely
-// on this guarantee; keep new code here free of mutable/static state.
+// Thread safety: every function here is free of global or cached state --
+// inputs are taken by const reference, and the only mutable state is what
+// the caller passes in: the DAG and edge-list buffers of
+// build_wcsl_dag_into and the DP rows of wcsl_dp_row.  Concurrent calls on
+// shared Application/Architecture/PolicyAssignment objects are safe as long
+// as each thread owns its buffers (the incremental evaluator keeps one set
+// per workspace).  The parallel optimizers (opt/) and the batch runner
+// (batch/) rely on this guarantee; keep new code here free of static state.
 #pragma once
+
+#include <cstddef>
+#include <utility>
+#include <vector>
 
 #include "app/application.h"
 #include "arch/architecture.h"
 #include "fault/fault_model.h"
 #include "fault/policy.h"
-#include "graph/digraph.h"
 #include "sched/list_scheduler.h"
 
 namespace ftes {
@@ -59,23 +65,80 @@ struct WcslResult {
   [[nodiscard]] bool meets_deadlines(const Application& app) const;
 };
 
+/// Immutable DAG in compressed sparse row (CSR) form: one offsets array
+/// plus one flat neighbour array per direction.  Built in two counting
+/// passes from an edge list, with a Kahn topological order computed once at
+/// build time.  Duplicate edges are kept; a vertex's predecessors come in
+/// ascending id order.
+class CsrDag {
+ public:
+  using EdgeList = std::vector<std::pair<int, int>>;  ///< (from, to)
+
+  /// Read-only view of one vertex's neighbours; valid until the next assign.
+  struct Span {
+    const int* first = nullptr;
+    const int* last = nullptr;
+    [[nodiscard]] const int* begin() const { return first; }
+    [[nodiscard]] const int* end() const { return last; }
+    [[nodiscard]] std::size_t size() const {
+      return static_cast<std::size_t>(last - first);
+    }
+  };
+
+  /// Rebuilds the graph over vertices 0..vertex_count-1, reusing this
+  /// object's buffers.  Throws std::invalid_argument on a cycle.
+  void assign(int vertex_count, const EdgeList& edges);
+
+  [[nodiscard]] int vertex_count() const {
+    return static_cast<int>(order_.size());
+  }
+  [[nodiscard]] int edge_count() const {
+    return static_cast<int>(preds_.size());
+  }
+  [[nodiscard]] Span predecessors(int v) const {
+    return {preds_.data() + pred_first_[static_cast<std::size_t>(v)],
+            preds_.data() + pred_first_[static_cast<std::size_t>(v) + 1]};
+  }
+  [[nodiscard]] const std::vector<int>& topological_order() const {
+    return order_;
+  }
+
+ private:
+  std::vector<int> pred_first_, preds_, succ_first_, succs_, order_;
+  std::vector<int> indegree_;  ///< Kahn scratch
+};
+
 /// The resource-augmented schedule DAG shared by the WCSL analyses below
 /// and the incremental evaluator (opt/eval_context.h): vertices are copies
 /// (0..copy_count) followed by bus transmissions; edges are data
 /// precedences plus the per-node / bus static orders of the fault-free
-/// schedule; weight[v][f] is the execution time of v when f faults strike
-/// it (capped at its recoveries).
+/// schedule; weight_row(v)[f] is the execution time of v when f faults
+/// strike it (capped at its recoveries), f = 0..k.
 struct WcslDag {
-  Digraph g;
+  CsrDag g;
   int copy_count = 0;
   int msg_count = 0;
-  std::vector<std::vector<Time>> weight;
+  int k = 0;
+  std::vector<Time> weight;  ///< flat, stride k + 1
   std::vector<Time> release;
 
   [[nodiscard]] int msg_vertex(int m) const { return copy_count + m; }
+  [[nodiscard]] const Time* weight_row(int v) const {
+    return weight.data() +
+           static_cast<std::size_t>(v) * (static_cast<std::size_t>(k) + 1);
+  }
 };
 
-/// Builds the augmented DAG for one (assignment, schedule) pair.
+/// Builds the augmented DAG for one (assignment, schedule) pair into `dag`,
+/// reusing its buffers and the caller's `edges` scratch (so a caller that
+/// keeps both across evaluations builds without allocating once they have
+/// grown to size).
+void build_wcsl_dag_into(WcslDag& dag, CsrDag::EdgeList& edges,
+                         const Application& app, const Architecture& arch,
+                         const PolicyAssignment& assignment, int k,
+                         const ListSchedule& schedule);
+
+/// Same build into fresh buffers.
 [[nodiscard]] WcslDag build_wcsl_dag(const Application& app,
                                      const Architecture& arch,
                                      const PolicyAssignment& assignment, int k,
@@ -83,9 +146,10 @@ struct WcslDag {
 
 /// One row of the budgeted longest-path DP: fills `row` with L(v, b) for
 /// b = 0..k given the already-computed rows of v's predecessors in `L`
-/// (aliasing row == L[v] is fine, v never precedes itself).  Returns the
-/// incoming bound max_p L(p, k), i.e. the worst-case start of v before its
-/// release is applied.
+/// (aliasing row == L[v] is fine, v never precedes itself).  Allocates
+/// only when `row` has less than k + 1 capacity.  Returns the incoming
+/// bound max_p L(p, k), i.e. the worst-case start of v before its release
+/// is applied.
 Time wcsl_dp_row(const WcslDag& dag, int v,
                  const std::vector<std::vector<Time>>& L, int k,
                  std::vector<Time>& row);

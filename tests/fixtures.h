@@ -5,6 +5,7 @@
 #include "arch/architecture.h"
 #include "fault/fault_model.h"
 #include "fault/policy.h"
+#include "util/random.h"
 
 namespace ftes::testing {
 
@@ -95,6 +96,32 @@ inline Fig5 fig5_app() {
   reexec(f.p3, n2);
   reexec(f.p4, n2);
   return f;
+}
+
+/// A random fully mapped assignment: each process is replicated (k + 1
+/// copies) with probability `replicate`, otherwise checkpointed (one copy,
+/// 1-3 checkpoints); every copy sits on a random node the process may run
+/// on.
+inline PolicyAssignment random_assignment(const Application& app,
+                                          const Architecture& arch, int k,
+                                          double replicate, Rng& rng) {
+  PolicyAssignment pa(app.process_count());
+  for (int i = 0; i < app.process_count(); ++i) {
+    const Process& proc = app.process(ProcessId{i});
+    std::vector<NodeId> allowed;
+    for (NodeId n : arch.node_ids()) {
+      if (proc.can_run_on(n)) allowed.push_back(n);
+    }
+    ProcessPlan plan =
+        rng.chance(replicate)
+            ? make_replication_plan(k)
+            : make_checkpointing_plan(k, 1 + static_cast<int>(rng.index(3)));
+    for (CopyPlan& cp : plan.copies) {
+      cp.node = allowed[rng.index(allowed.size())];
+    }
+    pa.plan(ProcessId{i}) = plan;
+  }
+  return pa;
 }
 
 }  // namespace ftes::testing

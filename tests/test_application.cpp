@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <type_traits>
+#include <vector>
+
 #include "app/merge.h"
 #include "fixtures.h"
 
@@ -29,6 +33,36 @@ TEST(Application, AdjacencyAndTopo) {
   EXPECT_EQ(order.front(), f.p1);
   EXPECT_EQ(f.app.roots(), std::vector<ProcessId>{f.p1});
   EXPECT_EQ(f.app.sinks(), (std::vector<ProcessId>{f.p4, f.p5}));
+}
+
+// Containers of applications (e.g. generated instance lists) must move, not
+// copy, them when they grow.
+static_assert(std::is_nothrow_move_constructible_v<Application>);
+static_assert(std::is_nothrow_move_assignable_v<Application>);
+
+TEST(Application, CachedTopologicalOrderFollowsEditsAndCopies) {
+  Application app;
+  const ProcessId a = app.add_process("A", {{NodeId{0}, 1}}, 0, 0, 0);
+  const ProcessId b = app.add_process("B", {{NodeId{0}, 1}}, 0, 0, 0);
+  app.connect(a, b);
+  EXPECT_EQ(app.topological_order(), (std::vector<ProcessId>{a, b}));
+  const ProcessId c = app.add_process("C", {{NodeId{0}, 1}}, 0, 0, 0);
+  app.connect(c, a);
+  EXPECT_EQ(app.topological_order(), (std::vector<ProcessId>{c, a, b}));
+
+  // Concurrent first calls on a copy (whose cache starts empty) agree.
+  const Application copy = app;
+  std::vector<std::vector<ProcessId>> seen(4);
+  std::vector<std::thread> threads;
+  for (std::vector<ProcessId>& out : seen) {
+    threads.emplace_back([&copy, &out] { out = copy.topological_order(); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::vector<ProcessId>& out : seen) {
+    EXPECT_EQ(out, (std::vector<ProcessId>{c, a, b}));
+  }
+  app.connect(b, c);
+  EXPECT_THROW((void)app.topological_order(), std::invalid_argument);
 }
 
 TEST(Application, RejectsSelfMessage) {

@@ -3,13 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 #include "fixtures.h"
+#include "gen/taskgen.h"
+#include "graph/digraph.h"
 
 namespace ftes {
 namespace {
 
 using ::ftes::testing::fig3_app;
 using ::ftes::testing::fig5_app;
+using ::ftes::testing::random_assignment;
 using ::ftes::testing::two_node_arch;
 
 PolicyAssignment all_on(const Application& app, NodeId node, int k, int n) {
@@ -144,6 +152,58 @@ TEST(ListScheduler, StripFaultToleranceKeepsMapping) {
   const Architecture arch = two_node_arch();
   EXPECT_LE(list_schedule(f.app, arch, stripped).makespan,
             list_schedule(f.app, arch, f.assignment).makespan);
+}
+
+TEST(ListScheduler, PriorityRanksMatchCopyGraphCriticalPath) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    TaskGenParams params;
+    params.process_count = 12;
+    params.node_count = 3;
+    Rng rng(seed);
+    Application app = generate_application(params, rng);
+    const Architecture arch = generate_architecture(params);
+    // A second message between an already connected pair: two copy-graph
+    // edges per copy pair.
+    const Message first = app.message(MessageId{0});
+    (void)app.connect(first.src, first.dst, "dup", 2);
+    const int k = 2;
+    const PolicyAssignment pa = random_assignment(app, arch, k, 0.4, rng);
+
+    ScheduleCheckpointLog log;
+    const ListSchedule s = list_schedule(app, arch, pa, log);
+    // Explicit copy graph: every producer copy precedes every consumer copy.
+    Digraph g(static_cast<int>(s.copies.size()));
+    for (const Message& m : app.messages()) {
+      for (int sj = 0; sj < pa.plan(m.src).copy_count(); ++sj) {
+        for (int dj = 0; dj < pa.plan(m.dst).copy_count(); ++dj) {
+          g.add_edge(s.copy_index(CopyRef{m.src, sj}),
+                     s.copy_index(CopyRef{m.dst, dj}));
+        }
+      }
+    }
+    const std::vector<Time> expected = g.critical_path_from([&](int v) {
+      const ScheduledCopy& sc = s.copies[static_cast<std::size_t>(v)];
+      Time comm = 0;
+      for (MessageId mid : app.outputs(sc.ref.process)) {
+        comm = std::max(comm, arch.bus().worst_case_duration(
+                                  sc.node, app.message(mid).size));
+      }
+      return sc.finish - sc.start + comm;
+    });
+    EXPECT_EQ(log.rank, expected) << "seed " << seed;
+    EXPECT_EQ(copy_priority_ranks(app, arch, pa), expected);
+  }
+}
+
+TEST(ListScheduler, CyclicApplicationThrows) {
+  Application app;
+  const ProcessId a = app.add_process("A", {{NodeId{0}, 10}}, 0, 0, 0);
+  const ProcessId b = app.add_process("B", {{NodeId{0}, 10}}, 0, 0, 0);
+  app.connect(a, b);
+  app.connect(b, a);
+  const Architecture arch = Architecture::homogeneous(1, 5);
+  const PolicyAssignment pa = all_on(app, NodeId{0}, 0, 1);
+  EXPECT_THROW((void)list_schedule(app, arch, pa), std::invalid_argument);
 }
 
 }  // namespace

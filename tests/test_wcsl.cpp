@@ -3,14 +3,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "fault/recovery.h"
 #include "fixtures.h"
+#include "gen/taskgen.h"
+#include "graph/digraph.h"
 #include "sched/cond_scheduler.h"
 
 namespace ftes {
 namespace {
 
 using ::ftes::testing::fig5_app;
+using ::ftes::testing::random_assignment;
 using ::ftes::testing::two_node_arch;
 
 PolicyAssignment single(const Application& app, NodeId node, int k, int n) {
@@ -162,6 +170,111 @@ TEST(Wcsl, DeadlineCheckUsesGlobalDeadline) {
   f.app.set_deadline(r.makespan - 1);
   EXPECT_FALSE(
       evaluate_wcsl(f.app, f.arch, f.assignment, f.model).meets_deadlines(f.app));
+}
+
+/// Independent reference for the augmented DAG's edges: the definition
+/// spelled out with a Digraph and a (message, source copy) -> transmission
+/// map.
+Digraph reference_dag(const Application& app, const PolicyAssignment& pa,
+                      const ListSchedule& s) {
+  const int copies = static_cast<int>(s.copies.size());
+  Digraph g(copies + static_cast<int>(s.messages.size()));
+  std::map<std::pair<int, int>, int> tx;
+  for (int m = 0; m < static_cast<int>(s.messages.size()); ++m) {
+    const ScheduledMessage& sm = s.messages[static_cast<std::size_t>(m)];
+    tx[{sm.msg.get(), sm.src_copy}] = copies + m;
+    g.add_edge(s.copy_index(CopyRef{app.message(sm.msg).src, sm.src_copy}),
+               copies + m);
+  }
+  for (int mi = 0; mi < app.message_count(); ++mi) {
+    const Message& msg = app.message(MessageId{mi});
+    for (int sj = 0; sj < pa.plan(msg.src).copy_count(); ++sj) {
+      const auto it = tx.find({mi, sj});
+      for (int dj = 0; dj < pa.plan(msg.dst).copy_count(); ++dj) {
+        g.add_edge(it != tx.end() ? it->second
+                                  : s.copy_index(CopyRef{msg.src, sj}),
+                   s.copy_index(CopyRef{msg.dst, dj}));
+      }
+    }
+  }
+  for (const auto& order : s.node_order) {
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      g.add_edge(order[i - 1], order[i]);
+    }
+  }
+  for (std::size_t i = 1; i < s.bus_order.size(); ++i) {
+    g.add_edge(copies + s.bus_order[i - 1], copies + s.bus_order[i]);
+  }
+  return g;
+}
+
+std::vector<int> sorted(std::vector<int> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+TEST(WcslDag, BuildIntoReusedBuffersMatchesFreshAndReference) {
+  TaskGenParams params;
+  params.process_count = 14;
+  params.node_count = 3;
+  Rng rng(11);
+  const Application app = generate_application(params, rng);
+  const Architecture arch = generate_architecture(params);
+
+  // One DAG, edge scratch and row set across rounds whose copy counts grow
+  // and shrink (replication share cycles 0 -> 0.9 -> 0) while k changes.
+  WcslDag dag;
+  CsrDag::EdgeList edges;
+  std::vector<std::vector<Time>> rows;
+  const double replicate[] = {0.0, 0.3, 0.9, 0.5, 0.1, 0.9, 0.0, 0.6};
+  for (int round = 0; round < 24; ++round) {
+    const int k = 1 + (round * 5) % 4;
+    const PolicyAssignment pa =
+        random_assignment(app, arch, k, replicate[round % 8], rng);
+    const ListSchedule sched = list_schedule(app, arch, pa);
+    build_wcsl_dag_into(dag, edges, app, arch, pa, k, sched);
+    const WcslDag fresh = build_wcsl_dag(app, arch, pa, k, sched);
+    const Digraph ref = reference_dag(app, pa, sched);
+
+    const int n = dag.g.vertex_count();
+    ASSERT_EQ(n, ref.vertex_count()) << "round " << round;
+    ASSERT_EQ(fresh.g.vertex_count(), n);
+    EXPECT_EQ(dag.g.edge_count(), ref.edge_count());
+    EXPECT_EQ(fresh.g.edge_count(), ref.edge_count());
+    EXPECT_EQ(dag.weight, fresh.weight);
+    EXPECT_EQ(dag.release, fresh.release);
+    for (int v = 0; v < n; ++v) {
+      const auto preds = dag.g.predecessors(v);
+      const auto fresh_preds = fresh.g.predecessors(v);
+      const std::vector<int> got(preds.begin(), preds.end());
+      EXPECT_EQ(got, sorted(ref.predecessors(v))) << "vertex " << v;
+      EXPECT_EQ(got, std::vector<int>(fresh_preds.begin(), fresh_preds.end()));
+    }
+
+    const std::vector<int>& order = dag.g.topological_order();
+    ASSERT_EQ(static_cast<int>(order.size()), n);
+    std::vector<int> pos(static_cast<std::size_t>(n), -1);
+    for (int i = 0; i < n; ++i) {
+      int& slot =
+          pos[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])];
+      ASSERT_EQ(slot, -1);  // a permutation: every vertex exactly once
+      slot = i;
+    }
+    for (int v = 0; v < n; ++v) {
+      for (int p : dag.g.predecessors(v)) {
+        EXPECT_LT(pos[static_cast<std::size_t>(p)],
+                  pos[static_cast<std::size_t>(v)]);
+      }
+    }
+
+    rows.resize(static_cast<std::size_t>(n));
+    for (int v : order) {
+      (void)wcsl_dp_row(dag, v, rows, k, rows[static_cast<std::size_t>(v)]);
+    }
+    EXPECT_EQ(wcsl_result_from_rows(app, sched, dag, rows, k).makespan,
+              evaluate_wcsl(app, arch, pa, FaultModel{k}).makespan)
+        << "round " << round;
+  }
 }
 
 }  // namespace
