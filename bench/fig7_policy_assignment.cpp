@@ -86,12 +86,10 @@ int main(int argc, char** argv) {
         });
 
     std::vector<double> dev_mr, dev_sfx, dev_mx;
-    EvalStats size_total;
     for (const SeedResult& r : seeds) {
       dev_mr.push_back(r.mr);
       dev_sfx.push_back(r.sfx);
       dev_mx.push_back(r.mx);
-      size_total.add(r.stats);
       total.add(r.stats);
     }
     std::printf("  %5d  %6.1f  %6.1f  %6.1f\n", size, mean(dev_mr),
@@ -106,40 +104,6 @@ int main(int argc, char** argv) {
     entry.metric("deviation_mr_pct", mean(dev_mr));
     entry.metric("deviation_sfx_pct", mean(dev_sfx));
     entry.metric("deviation_mx_pct", mean(dev_mx));
-    // Per-size rebase cost, in deterministic byte counters rather than
-    // wall-clock, so CI can assert the copy-on-write rebase path stays
-    // sublinear in problem size (ratio check across the largest sizes).
-    const long long records =
-        size_total.rebase_log_recorded + size_total.rebase_full_builds;
-    const long long schedules =
-        size_total.ls_resumes + size_total.ls_full_builds;
-    entry.metric("snapshot_refs_shared",
-                 static_cast<double>(size_total.snapshot_refs_shared));
-    entry.metric("snapshot_bytes_copied",
-                 static_cast<double>(size_total.snapshot_bytes_copied));
-    entry.metric("rebase_bytes_per_record",
-                 records > 0
-                     ? static_cast<double>(size_total.snapshot_bytes_copied) /
-                           static_cast<double>(records)
-                     : 0.0);
-    entry.metric(
-        "rebase_bytes_if_copied_per_record",
-        records > 0
-            ? static_cast<double>(size_total.snapshot_bytes_copied +
-                                  size_total.snapshot_bytes_shared) /
-                  static_cast<double>(records)
-            : 0.0);
-    entry.metric("events_per_schedule",
-                 schedules > 0
-                     ? static_cast<double>(size_total.ls_events_total) /
-                           static_cast<double>(schedules)
-                     : 0.0);
-    entry.metric(
-        "rebase_events_replayed_per_record",
-        size_total.rebase_log_recorded > 0
-            ? static_cast<double>(size_total.rebase_log_events_replayed) /
-                  static_cast<double>(size_total.rebase_log_recorded)
-            : 0.0);
   }
   std::printf("\n  overall averages: MXR better than MR by %.1f%%, than SFX "
               "by %.1f%%, than MX by %.1f%%\n",

@@ -83,8 +83,10 @@ int main(int argc, char** argv) {
           const Time wcsl_local =
               evaluate_wcsl(inst.app, inst.arch, local, fm).makespan;
 
+          CheckpointOptOptions refine;
+          refine.max_checkpoints = max_checkpoints;
           const CheckpointOptResult global = optimize_checkpoints_global(
-              inst.app, inst.arch, fm, local, max_checkpoints);
+              inst.app, inst.arch, fm, local, refine);
 
           SeedResult r;
           r.fto_local = fto_percent(wcsl_local, nft);

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -35,10 +34,6 @@ class State {
   [[nodiscard]] std::int64_t iterations() const { return max_iterations_; }
   /// Wall-clock of the timed loop (valid after the loop completed).
   [[nodiscard]] double seconds() const { return elapsed_; }
-
-  /// User counters, mirroring Google Benchmark's `state.counters["x"]`
-  /// (reported alongside time/op and forwarded to --bench-json).
-  std::map<std::string, double> counters;
 
   /// Loop variable of `for (auto _ : state)`; the user-declared destructor
   /// keeps -Wunused-variable quiet about the intentionally unused binding.
@@ -110,12 +105,10 @@ inline Benchmark* RegisterPlainBenchmark(const char* name, void (*fn)(State&)) {
   return b;
 }
 
-/// Runs every registered benchmark; `record(label, ns_per_op, iterations,
-/// counters)` is additionally invoked per run when provided (the
-/// --bench-json hook).
+/// Runs every registered benchmark; `record(label, ns_per_op, iterations)`
+/// is additionally invoked per run when provided (the --bench-json hook).
 inline void RunAllPlainBenchmarks(
-    const std::function<void(const std::string&, double, std::int64_t,
-                             const std::map<std::string, double>&)>&
+    const std::function<void(const std::string&, double, std::int64_t)>&
         record = {}) {
   std::printf("plain-chrono micro-benchmark fallback "
               "(Google Benchmark not found at configure time)\n");
@@ -130,12 +123,10 @@ inline void RunAllPlainBenchmarks(
       // damp clock noise.
       std::int64_t iters = 1;
       double secs = 0.0;
-      std::map<std::string, double> counters;
       for (;;) {
         State state(args, iters);
         b->fn(state);
         secs = state.seconds();
-        counters = state.counters;
         if (secs >= 0.2 || iters >= (std::int64_t{1} << 26)) break;
         const std::int64_t by_time =
             secs > 0 ? static_cast<std::int64_t>(
@@ -144,13 +135,9 @@ inline void RunAllPlainBenchmarks(
         iters = std::max(iters * 2, std::min(by_time, iters * 16));
       }
       const double ns = secs / static_cast<double>(iters) * 1e9;
-      std::printf("%-44s %11.0f ns %12lld", label.c_str(), ns,
+      std::printf("%-44s %11.0f ns %12lld\n", label.c_str(), ns,
                   static_cast<long long>(iters));
-      for (const auto& [name, value] : counters) {
-        std::printf("  %s=%.0f", name.c_str(), value);
-      }
-      std::printf("\n");
-      if (record) record(label, ns, iters, counters);
+      if (record) record(label, ns, iters);
     }
   }
 }

@@ -50,16 +50,7 @@ struct StageMetrics {
   long long sched_events_total = 0;
   long long sched_events_resumed = 0;
   long long rebase_cache_hits = 0;  ///< rebases served by the move cache
-  /// Accepted-move rebases whose checkpoint log was produced by
-  /// record-while-resuming instead of a from-scratch schedule build, and
-  /// the rebases that still had to rebuild from scratch.
-  long long rebase_log_recorded = 0;
-  long long rebase_full_builds = 0;
-  /// Rebases forced to a full rebuild by the snapshot-interval gate.
-  long long rebase_interval_mismatch = 0;
-  /// Copy-on-write snapshot storage: rebase-record prefix snapshots
-  /// adopted by reference vs bytes actually materialized into snapshots.
-  long long snapshot_refs_shared = 0;
+  /// Bytes of the checkpoint-log snapshots the stage's rebases rebuilt.
   long long snapshot_bytes_copied = 0;
   /// Neighborhood-search engine counters (opt/search_engine.h) of the
   /// optimizer driving the stage; all zero for non-search stages.

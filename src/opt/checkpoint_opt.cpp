@@ -154,19 +154,6 @@ CheckpointOptResult optimize_checkpoints_global(
   return result;
 }
 
-CheckpointOptResult optimize_checkpoints_global(const Application& app,
-                                                const Architecture& arch,
-                                                const FaultModel& model,
-                                                PolicyAssignment initial,
-                                                int max_checkpoints,
-                                                int max_rounds) {
-  CheckpointOptOptions options;
-  options.max_checkpoints = max_checkpoints;
-  options.max_rounds = max_rounds;
-  return optimize_checkpoints_global(app, arch, model, std::move(initial),
-                                     options);
-}
-
 CheckpointOptResult optimize_checkpoints_exact(const Application& app,
                                                const Architecture& arch,
                                                const FaultModel& model,

@@ -161,59 +161,13 @@ std::int32_t EvalContext::single_diff_pid(const PolicyAssignment& base,
   return diffs == 1 ? diff_pid : -1;
 }
 
-void EvalContext::rebuild_base_schedule(const PolicyAssignment& base,
-                                        ProcessId accepted) {
-  // Accepted-move fast path: a new base differing from the old in exactly
-  // one plan replays that move from the old log's nearest safe snapshot
-  // while recording the new base's log (record-while-resuming) -- the
-  // resulting schedule AND log are bit-identical to a from-scratch build,
-  // and the log's prefix snapshots are shared with the old log's by
-  // reference.
-  std::int32_t diff_pid =
-      base_has_log_ ? single_diff_pid(base, accepted) : -1;
-  // A resume-recorded log inherits the old base's snapshot interval; take
-  // the fast path only when that equals the interval a default from-scratch
-  // rebuild would pick for the new base (the common case -- single-plan
-  // moves rarely shift round(sqrt(E))), so the produced log -- and with it
-  // every later resume decision and counter -- is bit-identical to the
-  // rebuild it replaces.
-  if (diff_pid >= 0 &&
-      default_snapshot_interval(app_, base) != base_log_.snapshot_interval) {
-    rebase_interval_mismatch_.fetch_add(1, std::memory_order_relaxed);
-    diff_pid = -1;
+void EvalContext::rebuild_base_schedule(const PolicyAssignment& base) {
+  base_sched_ = list_schedule(app_, arch_, base, base_log_);
+  long long bytes = 0;
+  for (const ScheduleSnapshot& snap : base_log_.snapshots) {
+    bytes += static_cast<long long>(snapshot_bytes(snap));
   }
-  if (diff_pid >= 0) {
-    ScheduleCheckpointLog new_log;
-    ListScheduleResumeStats rstats;
-    base_sched_ = list_schedule_resume(app_, arch_, base_, base_log_, base,
-                                       ProcessId{diff_pid}, &rstats, &new_log);
-    base_log_ = std::move(new_log);
-    snapshot_refs_shared_.fetch_add(
-        static_cast<long long>(rstats.snapshots_shared),
-        std::memory_order_relaxed);
-    snapshot_bytes_copied_.fetch_add(
-        static_cast<long long>(rstats.snapshot_bytes_copied),
-        std::memory_order_relaxed);
-    snapshot_bytes_shared_.fetch_add(
-        static_cast<long long>(rstats.snapshot_bytes_shared),
-        std::memory_order_relaxed);
-    if (rstats.resumed) {
-      rebase_log_recorded_.fetch_add(1, std::memory_order_relaxed);
-      rebase_log_events_resumed_.fetch_add(
-          static_cast<long long>(rstats.events_resumed),
-          std::memory_order_relaxed);
-      rebase_log_events_replayed_.fetch_add(
-          static_cast<long long>(rstats.events_replayed),
-          std::memory_order_relaxed);
-    } else {
-      // No snapshot preceded the move's first affected event: the
-      // recording run degenerated to a (still log-producing) full build.
-      rebase_full_builds_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    base_sched_ = list_schedule(app_, arch_, base, base_log_);
-    rebase_full_builds_.fetch_add(1, std::memory_order_relaxed);
-  }
+  snapshot_bytes_copied_.fetch_add(bytes, std::memory_order_relaxed);
   base_has_log_ = true;
 }
 
@@ -224,9 +178,8 @@ EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
   // Winning-move cache: when the new base is the old base with exactly one
   // plan replaced, and that (process, plan) matches a cached candidate,
   // adopt the candidate's DAG + DP rows wholesale.  Only the fault-free
-  // schedule remains -- rebuilt by record-while-resuming from the old
-  // log (its checkpoint log must describe the new base) -- so the accept
-  // step pays neither the DP nor a from-scratch schedule build.
+  // schedule and its checkpoint log are rebuilt, so the accept step skips
+  // the DAG build and the DP.
   if (base_has_dp_) {
     const std::int32_t diff_pid = single_diff_pid(base, accepted);
     if (diff_pid >= 0) {
@@ -250,7 +203,7 @@ EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
         }
       }
       if (hit) {
-        rebuild_base_schedule(base, accepted);  // resumes from the old log
+        rebuild_base_schedule(base);
         base_ = base;
         ++version_;
         rebuild_base_lookups();
@@ -263,7 +216,7 @@ EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
   }
 
   invalidate_winner_cache();
-  rebuild_base_schedule(base, accepted);  // resumes from the old log
+  rebuild_base_schedule(base);
   base_ = base;
   ++version_;
   build_wcsl_dag_into(base_dag_, base_dag_edges_, app_, arch_, base_, k,
@@ -278,11 +231,10 @@ EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
   return outcome_from_base_rows();
 }
 
-Time EvalContext::rebase_fault_free(const PolicyAssignment& base,
-                                    ProcessId accepted) {
+Time EvalContext::rebase_fault_free(const PolicyAssignment& base) {
   invalidate_winner_cache();
   base_has_dp_ = false;
-  rebuild_base_schedule(base, accepted);
+  rebuild_base_schedule(base);
   base_ = base;
   ++version_;
   rebases_.fetch_add(1, std::memory_order_relaxed);
@@ -498,21 +450,8 @@ EvalStats EvalContext::stats() const {
   s.ls_events_resumed = ls_events_resumed_.load(std::memory_order_relaxed);
   s.heap_pops = heap_pops_.load(std::memory_order_relaxed);
   s.rebase_cache_hits = rebase_cache_hits_.load(std::memory_order_relaxed);
-  s.rebase_log_recorded =
-      rebase_log_recorded_.load(std::memory_order_relaxed);
-  s.rebase_log_events_resumed =
-      rebase_log_events_resumed_.load(std::memory_order_relaxed);
-  s.rebase_log_events_replayed =
-      rebase_log_events_replayed_.load(std::memory_order_relaxed);
-  s.rebase_full_builds = rebase_full_builds_.load(std::memory_order_relaxed);
-  s.rebase_interval_mismatch =
-      rebase_interval_mismatch_.load(std::memory_order_relaxed);
-  s.snapshot_refs_shared =
-      snapshot_refs_shared_.load(std::memory_order_relaxed);
   s.snapshot_bytes_copied =
       snapshot_bytes_copied_.load(std::memory_order_relaxed);
-  s.snapshot_bytes_shared =
-      snapshot_bytes_shared_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -31,15 +31,8 @@
 //   * During a sweep the best candidate's DAG + DP rows are kept; a
 //     rebase() onto exactly that winning move adopts them (a pointer swap)
 //     instead of re-running the DP -- the common accept step of the search
-//     engine's loop becomes near-free.
-//   * Any rebase whose new base differs from the old in a single plan
-//     rebuilds the base schedule by *record-while-resuming*: the accepted
-//     move is replayed from the old log's nearest safe snapshot while a
-//     complete log for the new base is emitted
-//     (list_schedule_resume(..., record)), so accepting a move no longer
-//     pays a from-scratch schedule build to stay resumable.  When the
-//     move keeps the copy layout, the new log shares the old log's prefix
-//     snapshots by reference (copy-on-write, util/snapshot_store.h).
+//     engine's loop then pays only a from-scratch list schedule that
+//     records the new base's checkpoint log.
 //
 // Results are bit-identical to a from-scratch evaluation: the resumed list
 // schedule is exact by construction (property-tested against full
@@ -87,13 +80,14 @@ class EvalContext {
   /// of recomputed (near-free; counted as a rebase cache hit).
   /// Invalidates workspaces lazily.  A valid `accepted` asserts that the
   /// new base differs from the old in at most that one plan (the engine's
-  /// accept step knows its move), skipping the O(P) diff scans.
+  /// accept step knows its move), skipping the O(P) diff scan of the
+  /// winning-move cache lookup.
   Outcome rebase(const PolicyAssignment& base, ProcessId accepted = {});
 
   /// Caches `base` for fault-free (list-schedule makespan) move evaluation
   /// only; builds the base schedule + checkpoint log but no DP.  Returns
-  /// the base's own fault-free makespan.  `accepted` as for rebase().
-  Time rebase_fault_free(const PolicyAssignment& base, ProcessId accepted = {});
+  /// the base's own fault-free makespan.
+  Time rebase_fault_free(const PolicyAssignment& base);
 
   /// WCSL outcome of base-with-plan(pid)-replaced-by-plan, evaluated
   /// incrementally against the cached DP.  Requires a prior rebase().
@@ -137,8 +131,8 @@ class EvalContext {
   /// the evaluating workspace and shared between the two slots, so a
   /// store under the cache mutex is O(1) -- no DP-row copies on the
   /// parallel evaluation path.  (The candidate's schedule is not kept:
-  /// an adopting rebase must rebuild it anyway to record a fresh
-  /// checkpoint log.)
+  /// an adopting rebase rebuilds it anyway to record a fresh checkpoint
+  /// log.)
   struct CachedArtifacts {
     WcslDag dag;
     std::vector<std::vector<Time>> L;
@@ -165,12 +159,8 @@ class EvalContext {
   void maybe_cache_winner(Workspace& ws, ProcessId pid,
                           const Outcome& outcome);
   void invalidate_winner_cache();
-  /// Rebuilds base_sched_ + base_log_ for `base` (the member base_ still
-  /// holds the OLD base): record-while-resuming when the bases differ in
-  /// exactly one plan and a log exists, from-scratch otherwise.  The new
-  /// log shares its prefix snapshots with the old one by reference.
-  /// `accepted` as for rebase().
-  void rebuild_base_schedule(const PolicyAssignment& base, ProcessId accepted);
+  /// Rebuilds base_sched_ + base_log_ for `base` from scratch.
+  void rebuild_base_schedule(const PolicyAssignment& base);
   /// The single plan in which `base` differs from the cached base_, or -1
   /// for none/many.  O(1) when the `accepted` hint is valid (debug-checked
   /// against a full scan), O(P) otherwise.
@@ -223,14 +213,7 @@ class EvalContext {
   std::atomic<long long> ls_events_resumed_{0};
   std::atomic<long long> heap_pops_{0};
   std::atomic<long long> rebase_cache_hits_{0};
-  std::atomic<long long> rebase_log_recorded_{0};
-  std::atomic<long long> rebase_log_events_resumed_{0};
-  std::atomic<long long> rebase_log_events_replayed_{0};
-  std::atomic<long long> rebase_full_builds_{0};
-  std::atomic<long long> rebase_interval_mismatch_{0};
-  std::atomic<long long> snapshot_refs_shared_{0};
   std::atomic<long long> snapshot_bytes_copied_{0};
-  std::atomic<long long> snapshot_bytes_shared_{0};
 };
 
 }  // namespace ftes

@@ -124,27 +124,6 @@ PolicyAssignment strip_fault_tolerance(const Application& app,
 
 namespace {
 
-/// Exact event count of a full build: every copy placement plus one bus
-/// transmission per (cross-node message, producer copy).  Shared by
-/// Scheduler::total_events and default_snapshot_interval so the event
-/// definition cannot drift between them.
-std::size_t count_total_events(const Application& app,
-                               const PolicyAssignment& assignment) {
-  std::size_t events = 0;
-  for (int i = 0; i < assignment.process_count(); ++i) {
-    events +=
-        static_cast<std::size_t>(assignment.plan(ProcessId{i}).copy_count());
-  }
-  for (const Message& m : app.messages()) {
-    const ProcessPlan& sp = assignment.plan(m.src);
-    const ProcessPlan& dp = assignment.plan(m.dst);
-    for (const CopyPlan& s : sp.copies) {
-      if (sends_over_bus(dp, s.node)) ++events;
-    }
-  }
-  return events;
-}
-
 /// The default snapshot interval for a build of that many events: the
 /// nearest integer to sqrt(events), in pure integer math so the interval
 /// (and thus every snapshot-resume counter) is bit-identical across libm
@@ -241,10 +220,17 @@ class Scheduler {
     return first_copy[static_cast<std::size_t>(p.get())] + copy;
   }
 
-  /// Exact event count of a full run (count_total_events above; the copy
-  /// placements equal verts.size() by construction).
+  /// Exact event count of a full run: every copy placement plus one bus
+  /// transmission per (cross-node message, producer copy).
   [[nodiscard]] std::size_t total_events() const {
-    return count_total_events(app_, assignment_);
+    std::size_t events = verts.size();
+    for (const Message& m : app_.messages()) {
+      const ProcessPlan& dp = assignment_.plan(m.dst);
+      for (const CopyPlan& s : assignment_.plan(m.src).copies) {
+        if (sends_over_bus(dp, s.node)) ++events;
+      }
+    }
+    return events;
   }
 
   // ---- dynamic state ----------------------------------------------------
@@ -295,8 +281,7 @@ class Scheduler {
   ListSchedule run() {
     while (remaining > 0) {
       if (log &&
-          event % static_cast<std::size_t>(log->snapshot_interval) == 0 &&
-          event != skip_snapshot_event) {
+          event % static_cast<std::size_t>(log->snapshot_interval) == 0) {
         take_snapshot();
       }
 
@@ -431,11 +416,6 @@ class Scheduler {
         tie.contenders.push_back(e.vertex);
         ready.push(e);
       }
-      // Canonical order: the set of contenders is a pure function of the
-      // tied state, but heap pop order depends on ranks -- which differ
-      // between a base build and a resumed candidate recording its own
-      // log.  (tie.winner keeps the actual pick.)
-      std::sort(tie.contenders.begin(), tie.contenders.end());
       log->ties.push_back(std::move(tie));
     }
   }
@@ -450,33 +430,17 @@ class Scheduler {
     s.placed = placed;
     s.deps_left = deps_left;
     s.data_ready = data_ready;
-    // Canonical heap images: entries re-keyed to their *current* start
-    // (lazy keys may be stale, and staleness depends on the refresh
-    // history, which a resumed run does not share with a from-scratch
-    // one) and sorted by (start, vertex).  Restoring a re-keyed entry is
-    // sound -- the true start only grows, so the key stays a valid lower
-    // bound -- and the snapshot becomes a pure function of the semantic
-    // state (placed / deps / readiness / node- and bus-free times).
-    // Ranks are NOT stored: they depend on the assignment, not on the
-    // placed prefix, and are re-stamped by the restoring run -- which
-    // makes prefix snapshots bitwise shareable between a base and a
-    // candidate with the same copy layout.
+    // Ready entries are re-keyed to their *current* start: lazy keys may be
+    // stale, and a restored entry must be a valid lower bound of its true
+    // start (which only grows).  Ranks are not stored; the restoring run
+    // re-stamps them from its own rank vector.
     s.ready_heap.reserve(ready.items().size());
     for (const ReadyEntry& e : ready.items()) {
       s.ready_heap.push_back(SnapshotReadyEntry{start_of(e.vertex), e.vertex});
     }
-    std::sort(s.ready_heap.begin(), s.ready_heap.end(),
-              [](const SnapshotReadyEntry& a, const SnapshotReadyEntry& b) {
-                return a.start != b.start ? a.start < b.start
-                                          : a.vertex < b.vertex;
-              });
     s.tx_heap = txq.items();
-    std::sort(s.tx_heap.begin(), s.tx_heap.end(),
-              [](const TxEntry& a, const TxEntry& b) { return TxLess{}(a, b); });
     s.partial = result;
-    ++snapshots_taken;
-    snapshot_bytes_taken += snapshot_bytes(s);
-    log->snapshots.append(std::move(s));
+    log->snapshots.push_back(std::move(s));
   }
 
   const Application& app_;
@@ -501,19 +465,13 @@ class Scheduler {
   std::size_t remaining = 0;
   std::size_t event = 0;
   std::size_t heap_pops = 0;
-  std::size_t snapshots_taken = 0;       ///< snapshots materialized live
-  std::size_t snapshot_bytes_taken = 0;  ///< their snapshot_bytes() total
-  /// A resumed run that transplanted the base snapshot at exactly this
-  /// event (by reference or remapped) suppresses the live re-record.
-  std::size_t skip_snapshot_event = static_cast<std::size_t>(-1);
 
   ScheduleCheckpointLog* log = nullptr;
 };
 
 ListSchedule build_schedule(const Application& app, const Architecture& arch,
                             const PolicyAssignment& assignment,
-                            ScheduleCheckpointLog* log, int snapshot_interval,
-                            std::size_t* heap_pops) {
+                            ScheduleCheckpointLog* log, int snapshot_interval) {
   Scheduler s(app, arch, assignment);
   s.build_static();
   if (log) {
@@ -524,28 +482,20 @@ ListSchedule build_schedule(const Application& app, const Architecture& arch,
     s.log = log;
   }
   s.init_dynamic();
-  ListSchedule out = s.run();
-  if (heap_pops) *heap_pops += s.heap_pops;
-  return out;
+  return s.run();
 }
 
 }  // namespace
 
 ListSchedule list_schedule(const Application& app, const Architecture& arch,
                            const PolicyAssignment& assignment) {
-  return build_schedule(app, arch, assignment, nullptr, 0, nullptr);
+  return build_schedule(app, arch, assignment, nullptr, 0);
 }
 
 ListSchedule list_schedule(const Application& app, const Architecture& arch,
                            const PolicyAssignment& assignment,
                            ScheduleCheckpointLog& log, int snapshot_interval) {
-  return build_schedule(app, arch, assignment, &log, snapshot_interval,
-                        nullptr);
-}
-
-int default_snapshot_interval(const Application& app,
-                              const PolicyAssignment& assignment) {
-  return interval_for_events(count_total_events(app, assignment));
+  return build_schedule(app, arch, assignment, &log, snapshot_interval);
 }
 
 ListSchedule list_schedule_resume(const Application& app,
@@ -554,8 +504,7 @@ ListSchedule list_schedule_resume(const Application& app,
                                   const ScheduleCheckpointLog& log,
                                   const PolicyAssignment& candidate,
                                   ProcessId moved,
-                                  ListScheduleResumeStats* stats,
-                                  ScheduleCheckpointLog* record) {
+                                  ListScheduleResumeStats* stats) {
   ListScheduleResumeStats local;
   Scheduler s(app, arch, candidate);
   s.build_static();
@@ -579,17 +528,11 @@ ListSchedule list_schedule_resume(const Application& app,
   };
   // Candidate vertex of a non-moved base vertex: the moved process's
   // successors in vertex order shift by its copy-count change.  Monotone
-  // in bv, so remapped sorted lists stay sorted.
+  // in bv, so it preserves the vertex-id order that breaks rank ties.
   const auto remap = [&](int bv) {
     assert(!moved_vertex(bv));
     return bv < base_first_p ? bv : bv + delta;
   };
-  // When the moved process keeps its copy count the remap is the identity
-  // and prefix snapshots are *bitwise* equal to what a from-scratch
-  // candidate build would record (canonical, rank-free, and free of
-  // moved-copy state before the first affected event) -- the condition
-  // for sharing them by reference instead of copying.
-  const bool layout_same = delta == 0;
 
   // ---- first affected event --------------------------------------------
   //
@@ -660,26 +603,10 @@ ListSchedule list_schedule_resume(const Application& app,
   // ---- nearest usable snapshot -----------------------------------------
   const ScheduleSnapshot* snap = nullptr;
   for (auto it = log.snapshots.rbegin(); it != log.snapshots.rend(); ++it) {
-    if ((*it)->event_index <= limit) {
-      snap = it->get();
+    if (it->event_index <= limit) {
+      snap = &*it;
       break;
     }
-  }
-
-  if (record) {
-    // Record-while-resuming: the replayed suffix records live through the
-    // normal logging hooks; prefix content is transplanted from the base
-    // log below (resume path) or recorded in full (fallback path).  The
-    // recorded log inherits the base interval so its prefix snapshots can
-    // be taken verbatim from the base's (both sit at multiples of it).
-    // `record` must be a distinct object: clearing it in place would free
-    // the very snapshots the transplant still reads.
-    assert(record != &log);
-    record->snapshot_interval = log.snapshot_interval;
-    record->snapshots.clear();
-    record->ties.clear();
-    record->event_count = 0;
-    s.log = record;
   }
 
   if (!snap || snap->event_index == 0) {
@@ -698,7 +625,7 @@ ListSchedule list_schedule_resume(const Application& app,
     s.result.messages = snap->partial.messages;
     s.result.bus_order = snap->partial.bus_order;
     s.result.makespan = snap->partial.makespan;
-    if (layout_same) {
+    if (delta == 0) {
       // Identity remap: take the read-only prefix wholesale instead of
       // copying it element by element (moved copies are unplaced with
       // default slots, and their readiness is re-seeded below).
@@ -788,161 +715,6 @@ ListSchedule list_schedule_resume(const Application& app,
     s.ready.assign(std::move(entries));
     s.txq.assign(snap->tx_heap);
 
-    if (record) {
-      // ---- transplant the skipped prefix's log content ------------------
-      //
-      // Everything the replay does not re-execute is move-invariant by the
-      // resume-point bound: event indices (avail/placed) of prefix events,
-      // tie groups before the resume point (same contender sets -- a pure
-      // function of the tied state -- and same winners, re-judged above),
-      // and prefix snapshots (canonical, so equal to what a from-scratch
-      // candidate build would record at the same event).  Entries whose
-      // events fall at or past the resume point are overwritten by the
-      // replay's own recording.
-      record->rank = s.rank;
-      if (layout_same) {
-        // Identity remap: per-vertex indices transplant wholesale.  The
-        // moved copies' base values are correct too -- their readiness
-        // index is shared per process and move-invariant, and their placed
-        // entries (base suffix placements) are overwritten when the replay
-        // places them.
-        record->avail_event = log.avail_event;
-        record->placed_event = log.placed_event;
-      } else {
-        record->avail_event.assign(cand_total, 0);
-        record->placed_event.assign(cand_total, 0);
-        for (int bv = 0; bv < base_total; ++bv) {
-          if (moved_vertex(bv)) continue;
-          const std::size_t cv = static_cast<std::size_t>(remap(bv));
-          record->avail_event[cv] =
-              log.avail_event[static_cast<std::size_t>(bv)];
-          record->placed_event[cv] =
-              log.placed_event[static_cast<std::size_t>(bv)];
-        }
-        // All copies of one process share their readiness index.  When the
-        // moved process's last inbound delivery happened in the prefix, the
-        // replay never re-delivers it, so the index must come from the
-        // base; a delivery during replay overwrites it.
-        const std::size_t shared_avail =
-            log.avail_event[static_cast<std::size_t>(base_first_p)];
-        for (int j = 0; j < cand_p_count; ++j) {
-          record->avail_event[static_cast<std::size_t>(
-              s.vertex_of(moved, j))] = shared_avail;
-        }
-      }
-      for (const ScheduleCheckpointLog::StartTie& tie : log.ties) {
-        if (tie.event >= snap->event_index) break;
-        if (layout_same) {
-          record->ties.push_back(tie);
-          continue;
-        }
-        ScheduleCheckpointLog::StartTie t;
-        t.event = tie.event;
-        t.winner = remap(tie.winner);
-        t.contenders.reserve(tie.contenders.size());
-        // Contenders are sorted by vertex id and the remap is monotone.
-        for (const int bv : tie.contenders) t.contenders.push_back(remap(bv));
-        record->ties.push_back(std::move(t));
-      }
-      // Prefix snapshots, including the resume-point snapshot itself (the
-      // live re-record at that event is suppressed): shared by reference
-      // when the copy layout is unchanged, materialized remapped
-      // otherwise.  A shared snapshot must predate `limit` -- at
-      // event_index == limit a moved copy can already sit in the ready
-      // image with a start key that depends on its (changed) plan; the
-      // materialized rebuild below recomputes the ready image from the
-      // transplanted semantic state, so it has no such restriction.
-      for (const auto& bs_ref : log.snapshots) {
-        const ScheduleSnapshot& bs = *bs_ref;
-        if (bs.event_index > snap->event_index) break;
-        if (layout_same) {
-          if (bs.event_index >= limit) break;
-          record->snapshots.share(bs_ref);
-          ++local.snapshots_shared;
-          local.snapshot_bytes_shared += snapshot_bytes(bs);
-          if (bs.event_index == snap->event_index) {
-            s.skip_snapshot_event = snap->event_index;
-          }
-          continue;
-        }
-        ScheduleSnapshot ns;
-        ns.event_index = bs.event_index;
-        ns.remaining =
-            bs.remaining + (cand_total - static_cast<std::size_t>(base_total));
-        ns.bus_free = bs.bus_free;
-        ns.tx_seq = bs.tx_seq;
-        ns.node_free = bs.node_free;
-        ns.placed.assign(cand_total, 0);
-        ns.deps_left.assign(cand_total, 0);
-        ns.data_ready.assign(cand_total, 0);
-        ns.partial.first_copy = s.first_copy;
-        ns.partial.copies.assign(cand_total, ScheduledCopy{});
-        for (int bv = 0; bv < base_total; ++bv) {
-          if (moved_vertex(bv)) continue;
-          const std::size_t cv = static_cast<std::size_t>(remap(bv));
-          ns.placed[cv] = bs.placed[static_cast<std::size_t>(bv)];
-          ns.deps_left[cv] = bs.deps_left[static_cast<std::size_t>(bv)];
-          ns.data_ready[cv] = bs.data_ready[static_cast<std::size_t>(bv)];
-          ns.partial.copies[cv] =
-              bs.partial.copies[static_cast<std::size_t>(bv)];
-        }
-        // Same seeding rules as the dynamic-state transplant above (this
-        // path only runs when the copy count changed, so delta != 0).
-        const int snap_deps =
-            bs.deps_left[static_cast<std::size_t>(base_first_p)];
-        const Time snap_ready =
-            bs.data_ready[static_cast<std::size_t>(base_first_p)];
-        for (int j = 0; j < cand_p_count; ++j) {
-          const std::size_t cv =
-              static_cast<std::size_t>(s.vertex_of(moved, j));
-          ns.deps_left[cv] = snap_deps;
-          ns.data_ready[cv] = snap_ready;
-        }
-        for (MessageId mid : app.outputs(moved)) {
-          const Message& m = app.message(mid);
-          const int count = candidate.plan(m.dst).copy_count();
-          for (int dj = 0; dj < count; ++dj) {
-            ns.deps_left[static_cast<std::size_t>(s.vertex_of(m.dst, dj))] +=
-                delta;
-          }
-        }
-        ns.partial.node_order.assign(
-            static_cast<std::size_t>(arch.node_count()), {});
-        for (std::size_t n = 0; n < bs.partial.node_order.size(); ++n) {
-          for (const int v : bs.partial.node_order[n]) {
-            ns.partial.node_order[n].push_back(remap(v));
-          }
-        }
-        ns.partial.messages = bs.partial.messages;
-        ns.partial.bus_order = bs.partial.bus_order;
-        ns.partial.makespan = bs.partial.makespan;
-        // Canonical ready image, rebuilt from the transplanted semantic
-        // state (ready == available and unplaced).
-        for (std::size_t cv = 0; cv < cand_total; ++cv) {
-          if (ns.placed[cv] || ns.deps_left[cv] != 0) continue;
-          const Time start = std::max(
-              {ns.data_ready[cv], s.verts[cv].release,
-               ns.node_free[static_cast<std::size_t>(
-                   s.verts[cv].node.get())]});
-          ns.ready_heap.push_back(
-              SnapshotReadyEntry{start, static_cast<int>(cv)});
-        }
-        std::sort(ns.ready_heap.begin(), ns.ready_heap.end(),
-                  [](const SnapshotReadyEntry& a, const SnapshotReadyEntry& b) {
-                    return a.start != b.start ? a.start < b.start
-                                              : a.vertex < b.vertex;
-                  });
-        ns.tx_heap = bs.tx_heap;  // canonical and move-invariant (no moved
-                                  // producer placed, senders untouched)
-        ++local.snapshots_copied;
-        local.snapshot_bytes_copied += snapshot_bytes(ns);
-        if (bs.event_index == snap->event_index) {
-          s.skip_snapshot_event = snap->event_index;
-        }
-        record->snapshots.append(std::move(ns));
-      }
-    }
-
     local.resumed = true;
     local.events_resumed = snap->event_index;
   }
@@ -951,8 +723,6 @@ ListSchedule list_schedule_resume(const Application& app,
   local.events_total = s.event;
   local.events_replayed = s.event - local.events_resumed;
   local.heap_pops = s.heap_pops;
-  local.snapshots_copied += s.snapshots_taken;
-  local.snapshot_bytes_copied += s.snapshot_bytes_taken;
   if (stats) *stats = local;
   return out;
 }

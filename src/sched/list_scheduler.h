@@ -21,7 +21,9 @@
 // prefix before the resume point is proven unaffected (readiness of the
 // moved process's copies, priority-rank diffs, and local<->bus flips of its
 // inbound messages all bound the resume point), and the suffix is replayed
-// with the candidate's own data.  See docs/ARCHITECTURE.md.
+// with the candidate's own data.  Logs come only from full builds: an
+// accepted move's new base is rebuilt from scratch with a fresh log.  See
+// docs/ARCHITECTURE.md.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,6 @@
 #include "arch/architecture.h"
 #include "fault/policy.h"
 #include "fault/scenario.h"
-#include "util/snapshot_store.h"
 #include "util/time_types.h"
 
 namespace ftes {
@@ -98,14 +99,10 @@ struct TxEntry {
   NodeId sender;
 };
 
-/// Snapshot-resident ready-queue entry.  Deliberately *rank-free*: ranks
-/// are a pure function of the assignment (re-stamped from the restoring
-/// run's own rank vector), while everything else in a snapshot taken
-/// before a move's first affected event is move-invariant.  Dropping the
-/// rank makes such prefix snapshots bit-identical between a base and any
-/// candidate with the same copy layout -- which is what lets a
-/// record-while-resuming run share them by reference instead of copying
-/// (see ScheduleCheckpointLog::snapshots).
+/// Snapshot-resident ready-queue entry.  Deliberately *rank-free*: a log
+/// is restored into candidates whose ranks differ from the base's (a move
+/// changes the ranks of the moved process and its ancestors), so the
+/// restoring run re-stamps every entry from its own rank vector.
 struct SnapshotReadyEntry {
   Time start = 0;
   int vertex = -1;
@@ -113,16 +110,10 @@ struct SnapshotReadyEntry {
 
 /// Full scheduler state between two placement events, restorable into a
 /// resumed run (possibly with the moved process's vertex ids remapped).
-///
-/// Snapshots are *canonical*: the heap images are re-keyed to their true
-/// start at snapshot time and sorted by (start, vertex) / the tx queue
-/// order, so a snapshot is a pure function of the scheduler's semantic
-/// state -- two runs that placed the same prefix record bit-identical
-/// snapshots, regardless of their internal heap layout or lazy-key
-/// refresh history.  (This is what lets a resumed run record a log
-/// bit-identical to a from-scratch build's; see list_schedule_resume's
-/// `record` parameter.)  Once inside a log a snapshot is immutable and
-/// may be co-owned by any number of derived logs.
+/// The ready image is re-keyed to each vertex's true start at snapshot
+/// time; restoring it is sound because a true start only grows, so the
+/// key stays a valid lower bound.  Both heap images are stored in heap
+/// order and re-heapified on restore.
 struct ScheduleSnapshot {
   std::size_t event_index = 0;  ///< events committed before this state
   std::size_t remaining = 0;    ///< copies still unplaced
@@ -132,16 +123,15 @@ struct ScheduleSnapshot {
   std::vector<char> placed;
   std::vector<int> deps_left;
   std::vector<Time> data_ready;
-  /// Ready image sorted by (start, vertex); rank-free, see above.
-  std::vector<SnapshotReadyEntry> ready_heap;
+  std::vector<SnapshotReadyEntry> ready_heap;  ///< rank-free, see above
   std::vector<TxEntry> tx_heap;
   ListSchedule partial;  ///< copies/messages committed so far
 };
 
 /// Deterministic byte size of one snapshot's storage (the struct plus
-/// every owned vector payload) -- the unit of the snapshot_bytes_copied
-/// counters, so "bytes a rebase materialized" is a pure function of the
-/// schedule and never of allocator or capacity accidents.
+/// every owned vector payload) -- the unit of EvalStats'
+/// snapshot_bytes_copied, so "bytes a rebase materialized" is a pure
+/// function of the schedule and never of allocator or capacity accidents.
 [[nodiscard]] std::size_t snapshot_bytes(const ScheduleSnapshot& s);
 
 /// Checkpoint log of one full build: snapshots plus the per-vertex event
@@ -151,12 +141,7 @@ struct ScheduleSnapshot {
 struct ScheduleCheckpointLog {
   int snapshot_interval = 0;    ///< events between snapshots (>= 1)
   std::size_t event_count = 0;  ///< total events of the base build
-  /// Immutable snapshots at events 0, I, 2I, ... -- copy-on-write: a log
-  /// recorded while resuming *shares* the base log's prefix snapshots by
-  /// reference (they are bit-identical by construction when the copy
-  /// layout is unchanged) and only materializes snapshots at/after the
-  /// resume point.  Copying a log copies refs, never snapshot bytes.
-  SnapshotStore<ScheduleSnapshot> snapshots;
+  std::vector<ScheduleSnapshot> snapshots;  ///< at events 0, I, 2I, ...
   /// Per copy vertex: first event index whose selection could consider the
   /// vertex (its dependencies completed strictly before that event).
   std::vector<std::size_t> avail_event;
@@ -171,10 +156,8 @@ struct ScheduleCheckpointLog {
   struct StartTie {
     std::size_t event = 0;
     int winner = -1;  ///< the base build's pick
-    /// Every vertex at the tied start (incl. winner), ascending by vertex
-    /// id -- a pure function of the tied state, NOT heap pop order (pop
-    /// order depends on ranks, which a resumed run re-records under the
-    /// candidate's ranks).
+    /// Every vertex at the tied start (incl. winner), in no particular
+    /// order: re-judging picks max rank, then min vertex id.
     std::vector<int> contenders;
   };
   std::vector<StartTie> ties;  ///< ascending by event
@@ -190,16 +173,6 @@ struct ListScheduleResumeStats {
   std::size_t events_resumed = 0;   ///< prefix events served by the snapshot
   std::size_t events_replayed = 0;  ///< events actually executed
   std::size_t heap_pops = 0;        ///< ready/tx heap pops during replay
-  // Record-while-resuming snapshot accounting (zero without `record`):
-  // prefix snapshots transplanted by reference vs materialized by value,
-  // and the bytes every materialized snapshot cost (remapped prefix
-  // copies plus snapshots recorded live during the replayed suffix).
-  std::size_t snapshots_shared = 0;
-  std::size_t snapshots_copied = 0;
-  std::size_t snapshot_bytes_copied = 0;
-  /// Bytes of the shared prefix snapshots -- what a deep-copying record
-  /// would have paid on top of snapshot_bytes_copied.
-  std::size_t snapshot_bytes_shared = 0;
 };
 
 /// Computes the fault-free list schedule.  `assignment` must be fully
@@ -217,42 +190,15 @@ struct ListScheduleResumeStats {
                                          ScheduleCheckpointLog& log,
                                          int snapshot_interval = 0);
 
-/// The snapshot interval a default full build of `assignment` would pick:
-/// round(sqrt(total events)), where an event is one copy placement or one
-/// bus transmission.  Lets a caller predict -- without building anything --
-/// whether a record-while-resuming run (which inherits the base log's
-/// interval) would produce the same log a default from-scratch rebuild
-/// would.
-[[nodiscard]] int default_snapshot_interval(const Application& app,
-                                            const PolicyAssignment& assignment);
-
 /// Schedule of `candidate` (== `base` with process `moved`'s plan replaced),
 /// resumed from the nearest safe snapshot of `log` (recorded from `base`).
 /// Bit-identical to list_schedule(app, arch, candidate); falls back to a
 /// from-scratch build when no snapshot precedes the first affected event.
-///
-/// Record-while-resuming: when `record` is non-null, the run additionally
-/// emits a complete checkpoint log for the *candidate* -- the replayed
-/// suffix records its events, ties and snapshots live, and the skipped
-/// prefix is transplanted from `log` (event indices and tie groups are
-/// move-invariant before the resume point).  Prefix snapshots are
-/// copy-on-write: when the moved process keeps its copy count they are
-/// *shared by reference* (bit-identical by construction -- snapshots are
-/// canonical and rank-free), otherwise they are materialized remapped
-/// into the candidate's vertex space; either way the recorded log
-/// inherits `log`'s snapshot interval (so prefix snapshots stay aligned)
-/// and is bit-identical to the log of
-/// `list_schedule(app, arch, candidate, *record, log.snapshot_interval)`
-/// -- an accepted move's rebase gets a resumable log while copying only
-/// the changed suffix.  `record` must not alias `log` (the transplant
-/// reads `log`'s snapshots while writing `record`); record into a fresh
-/// log and move it over the old one afterwards.
 [[nodiscard]] ListSchedule list_schedule_resume(
     const Application& app, const Architecture& arch,
     const PolicyAssignment& base, const ScheduleCheckpointLog& log,
     const PolicyAssignment& candidate, ProcessId moved,
-    ListScheduleResumeStats* stats = nullptr,
-    ScheduleCheckpointLog* record = nullptr);
+    ListScheduleResumeStats* stats = nullptr);
 
 /// Whether a producer copy on `producer_node` sends a message to the
 /// `consumer` over the bus: exactly when some consumer copy sits on another

@@ -161,196 +161,6 @@ TEST(ListSchedulerIncremental, ResumeMatchesFullRebuildForRandomMoves) {
   }
 }
 
-void expect_snapshot_identical(const ScheduleSnapshot& a,
-                               const ScheduleSnapshot& b, int round,
-                               std::size_t index) {
-  ASSERT_EQ(a.event_index, b.event_index) << "round " << round;
-  EXPECT_EQ(a.remaining, b.remaining) << "snapshot " << index;
-  EXPECT_EQ(a.bus_free, b.bus_free) << "snapshot " << index;
-  EXPECT_EQ(a.tx_seq, b.tx_seq) << "snapshot " << index;
-  EXPECT_EQ(a.node_free, b.node_free) << "snapshot " << index;
-  EXPECT_EQ(a.placed, b.placed) << "snapshot " << index;
-  EXPECT_EQ(a.deps_left, b.deps_left) << "snapshot " << index;
-  EXPECT_EQ(a.data_ready, b.data_ready) << "snapshot " << index;
-  ASSERT_EQ(a.ready_heap.size(), b.ready_heap.size()) << "snapshot " << index;
-  for (std::size_t i = 0; i < a.ready_heap.size(); ++i) {
-    EXPECT_EQ(a.ready_heap[i].start, b.ready_heap[i].start)
-        << "snapshot " << index << " ready " << i;
-    EXPECT_EQ(a.ready_heap[i].vertex, b.ready_heap[i].vertex)
-        << "snapshot " << index << " ready " << i;
-  }
-  ASSERT_EQ(a.tx_heap.size(), b.tx_heap.size()) << "snapshot " << index;
-  for (std::size_t i = 0; i < a.tx_heap.size(); ++i) {
-    EXPECT_EQ(a.tx_heap[i].ready, b.tx_heap[i].ready)
-        << "snapshot " << index << " tx " << i;
-    EXPECT_EQ(a.tx_heap[i].msg, b.tx_heap[i].msg)
-        << "snapshot " << index << " tx " << i;
-    EXPECT_EQ(a.tx_heap[i].seq, b.tx_heap[i].seq)
-        << "snapshot " << index << " tx " << i;
-    EXPECT_EQ(a.tx_heap[i].src_copy, b.tx_heap[i].src_copy)
-        << "snapshot " << index << " tx " << i;
-    EXPECT_EQ(a.tx_heap[i].sender, b.tx_heap[i].sender)
-        << "snapshot " << index << " tx " << i;
-  }
-  expect_identical(a.partial, b.partial, "snapshot partial", round);
-}
-
-void expect_log_identical(const ScheduleCheckpointLog& a,
-                          const ScheduleCheckpointLog& b, int round) {
-  ASSERT_EQ(a.snapshot_interval, b.snapshot_interval) << "round " << round;
-  ASSERT_EQ(a.event_count, b.event_count) << "round " << round;
-  EXPECT_EQ(a.avail_event, b.avail_event) << "round " << round;
-  EXPECT_EQ(a.placed_event, b.placed_event) << "round " << round;
-  EXPECT_EQ(a.rank, b.rank) << "round " << round;
-  ASSERT_EQ(a.ties.size(), b.ties.size()) << "round " << round;
-  for (std::size_t i = 0; i < a.ties.size(); ++i) {
-    EXPECT_EQ(a.ties[i].event, b.ties[i].event) << "tie " << i;
-    EXPECT_EQ(a.ties[i].winner, b.ties[i].winner) << "tie " << i;
-    EXPECT_EQ(a.ties[i].contenders, b.ties[i].contenders) << "tie " << i;
-  }
-  ASSERT_EQ(a.snapshots.size(), b.snapshots.size()) << "round " << round;
-  for (std::size_t i = 0; i < a.snapshots.size(); ++i) {
-    expect_snapshot_identical(a.snapshots[i], b.snapshots[i], round, i);
-  }
-}
-
-// Record-while-resuming must produce a log bit-identical -- snapshots
-// (full scheduler states), tie groups, event indices, ranks -- to the log
-// of a from-scratch candidate build at the same snapshot interval, for
-// random moves of all three families across the dense (1), default and
-// degenerate (>= total events) intervals.  Accepted moves chain: the
-// recorded log becomes the next round's base log, so transplant errors
-// compound instead of hiding.
-TEST(ListSchedulerIncremental, RecordWhileResumingMatchesFromScratchLog) {
-  for (const int interval : {0, 1, 1 << 20}) {
-    const Instance inst = make_instance(24, 3, 4321);
-    const FaultModel model{2};
-    PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
-                                           PolicySpace::kCheckpointingOnly, 8);
-    ScheduleCheckpointLog log;
-    (void)list_schedule(inst.app, inst.arch, base, log, interval);
-
-    Rng rng(1000 + static_cast<std::uint64_t>(interval));
-    int resumed_recordings = 0;
-    for (int move = 0; move < 80; ++move) {
-      const ProcessId pid{static_cast<std::int32_t>(
-          rng.index(static_cast<std::size_t>(inst.app.process_count())))};
-      PolicyAssignment candidate = base;
-      candidate.plan(pid) = random_move(inst, base, pid, model, rng);
-
-      ListScheduleResumeStats stats;
-      ScheduleCheckpointLog recorded;
-      const ListSchedule resumed =
-          list_schedule_resume(inst.app, inst.arch, base, log, candidate, pid,
-                               &stats, &recorded);
-      ScheduleCheckpointLog scratch;
-      const ListSchedule full = list_schedule(inst.app, inst.arch, candidate,
-                                              scratch, log.snapshot_interval);
-      expect_identical(resumed, full, "record-resume", move);
-      expect_log_identical(recorded, scratch, move);
-      if (stats.resumed) ++resumed_recordings;
-
-      if (move % 9 == 0) {  // accept: the recorded log is the new base log
-        base = std::move(candidate);
-        log = std::move(recorded);
-      }
-    }
-    if (interval != 1 << 20) {
-      EXPECT_GT(resumed_recordings, 0)
-          << "interval " << interval
-          << ": every recording degenerated to a full build";
-    }
-  }
-}
-
-// Copy-on-write sharing invariant (util/snapshot_store.h): a recording
-// resume of a layout-preserving sink move adopts the base log's prefix
-// snapshots by reference -- pointer identity, not equality.  Because the
-// store hands out shared_ptr<const ScheduleSnapshot>, nothing done to the
-// derived log afterwards -- mutating its replay vectors, clearing its
-// ties, dropping its snapshot refs, destroying it -- may change a single
-// byte of the base log's snapshots.
-TEST(ListSchedulerIncremental, SharedTailRebaseAliasesBaseSnapshots) {
-  const Instance inst = make_instance(30, 3, 77);
-  const FaultModel model{2};
-  const PolicyAssignment base = greedy_initial(
-      inst.app, inst.arch, model, PolicySpace::kCheckpointingOnly, 8);
-  ScheduleCheckpointLog log;
-  (void)list_schedule(inst.app, inst.arch, base, log);
-  ASSERT_GT(log.snapshots.size(), 1u);
-
-  // Deep copy of the base snapshots, taken before any sharing happens.
-  std::vector<ScheduleSnapshot> pristine;
-  for (const auto& ref : log.snapshots) pristine.push_back(*ref);
-
-  const ProcessId pid = inst.app.topological_order().back();
-  PolicyAssignment candidate = base;
-  candidate.plan(pid).copies[0].checkpoints =
-      candidate.plan(pid).copies[0].checkpoints == 1 ? 2 : 1;
-  ListScheduleResumeStats stats;
-  {
-    ScheduleCheckpointLog derived;
-    (void)list_schedule_resume(inst.app, inst.arch, base, log, candidate, pid,
-                               &stats, &derived);
-    ASSERT_GT(stats.snapshots_shared, 0u);
-    EXPECT_GT(stats.snapshot_bytes_shared, 0u);
-    for (std::size_t i = 0; i < stats.snapshots_shared; ++i) {
-      EXPECT_TRUE(derived.snapshots.aliases(i, log.snapshots, i))
-          << "prefix snapshot " << i << " was copied, not shared";
-    }
-    // Vandalize everything mutable about the derived log, then drop its
-    // snapshot refs and the log itself.
-    derived.avail_event.assign(derived.avail_event.size(), 0);
-    derived.placed_event.clear();
-    derived.rank.clear();
-    derived.ties.clear();
-    derived.snapshots.clear();
-  }
-  ASSERT_EQ(log.snapshots.size(), pristine.size());
-  for (std::size_t i = 0; i < pristine.size(); ++i) {
-    expect_snapshot_identical(log.snapshots[i], pristine[i], 0, i);
-  }
-}
-
-// Worst case for compounding transplant errors: EVERY move is accepted,
-// so each recording resume runs against the previous round's recorded log
-// (never a from-scratch one).  Ten consecutive accepted moves of all
-// three families must stay bit-identical -- schedule and full log -- to
-// from-scratch builds at the dense (1), default and degenerate (>= total
-// events) snapshot intervals.
-TEST(ListSchedulerIncremental, ChainedConsecutiveAcceptsStayBitIdentical) {
-  for (const int interval : {0, 1, 1 << 20}) {
-    const Instance inst = make_instance(24, 3, 2026);
-    const FaultModel model{2};
-    PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
-                                           PolicySpace::kCheckpointingOnly, 8);
-    ScheduleCheckpointLog log;
-    (void)list_schedule(inst.app, inst.arch, base, log, interval);
-
-    Rng rng(600 + static_cast<std::uint64_t>(interval));
-    for (int accept = 0; accept < 10; ++accept) {
-      const ProcessId pid{static_cast<std::int32_t>(
-          rng.index(static_cast<std::size_t>(inst.app.process_count())))};
-      PolicyAssignment candidate = base;
-      candidate.plan(pid) = random_move(inst, base, pid, model, rng);
-
-      ListScheduleResumeStats stats;
-      ScheduleCheckpointLog recorded;
-      const ListSchedule resumed =
-          list_schedule_resume(inst.app, inst.arch, base, log, candidate, pid,
-                               &stats, &recorded);
-      ScheduleCheckpointLog scratch;
-      const ListSchedule full = list_schedule(inst.app, inst.arch, candidate,
-                                              scratch, log.snapshot_interval);
-      expect_identical(resumed, full, "chained-accept", accept);
-      expect_log_identical(recorded, scratch, accept);
-
-      base = std::move(candidate);
-      log = std::move(recorded);
-    }
-  }
-}
-
 TEST(ListSchedulerIncremental, ResumeActuallySkipsEventsForSinkMoves) {
   const Instance inst = make_instance(30, 3, 77);
   const FaultModel model{2};
@@ -437,21 +247,13 @@ TEST(ListSchedulerIncremental, OptimizerCountersAreThreadCountInvariant) {
             parallel.eval_stats.rebase_cache_hits);
   EXPECT_EQ(serial.eval_stats.dp_vertices_reused,
             parallel.eval_stats.dp_vertices_reused);
-  // The accepted-move rebase path (copy-on-write sharing) runs
-  // on the serial accept step, so its counters -- including raw byte
-  // counts -- must be exactly thread-count invariant too.
-  EXPECT_EQ(serial.eval_stats.rebase_log_recorded,
-            parallel.eval_stats.rebase_log_recorded);
-  EXPECT_EQ(serial.eval_stats.rebase_log_events_replayed,
-            parallel.eval_stats.rebase_log_events_replayed);
-  EXPECT_EQ(serial.eval_stats.rebase_interval_mismatch,
-            parallel.eval_stats.rebase_interval_mismatch);
+  // The accepted-move rebase path runs on the serial accept step, so its
+  // counters -- including raw byte counts -- must be exactly thread-count
+  // invariant too.
   EXPECT_EQ(serial.eval_stats.snapshot_refs_shared,
             parallel.eval_stats.snapshot_refs_shared);
   EXPECT_EQ(serial.eval_stats.snapshot_bytes_copied,
             parallel.eval_stats.snapshot_bytes_copied);
-  EXPECT_EQ(serial.eval_stats.snapshot_bytes_shared,
-            parallel.eval_stats.snapshot_bytes_shared);
   for (int i = 0; i < inst.app.process_count(); ++i) {
     EXPECT_EQ(serial.assignment.plan(ProcessId{i}),
               parallel.assignment.plan(ProcessId{i}))

@@ -161,8 +161,10 @@ TEST(CheckpointOpt, GlobalNeverWorseThanLocal) {
                                          PolicySpace::kCheckpointingOnly, 8);
     apply_local_checkpointing(inst.app, pa, 8);
     const Time local = evaluate_wcsl(inst.app, inst.arch, pa, fm).makespan;
+    CheckpointOptOptions refine;
+    refine.max_checkpoints = 8;
     const CheckpointOptResult global =
-        optimize_checkpoints_global(inst.app, inst.arch, fm, pa, 8);
+        optimize_checkpoints_global(inst.app, inst.arch, fm, pa, refine);
     EXPECT_LE(global.wcsl, local) << "seed " << seed;
   }
 }
@@ -174,8 +176,10 @@ TEST(CheckpointOpt, GreedyMatchesExactOnTinyInstances) {
   const FaultModel fm{2};
   PolicyAssignment pa = greedy_initial(inst.app, inst.arch, fm,
                                        PolicySpace::kCheckpointingOnly, 4);
+  CheckpointOptOptions refine;
+  refine.max_checkpoints = 4;
   const CheckpointOptResult greedy =
-      optimize_checkpoints_global(inst.app, inst.arch, fm, pa, 4);
+      optimize_checkpoints_global(inst.app, inst.arch, fm, pa, refine);
   const CheckpointOptResult exact =
       optimize_checkpoints_exact(inst.app, inst.arch, fm, pa, 4);
   EXPECT_GE(greedy.wcsl, exact.wcsl);

@@ -111,9 +111,11 @@ TEST(Pipeline, MatchesManuallyChainedStageFunctions) {
                                                    opts.fault_model,
                                                    opts.optimize);
   int evaluations = opt.evaluations;
+  CheckpointOptOptions refine;
+  refine.max_checkpoints = opts.optimize.max_checkpoints;
   CheckpointOptResult refined = optimize_checkpoints_global(
       inst.app, inst.arch, opts.fault_model, std::move(opt.assignment),
-      opts.optimize.max_checkpoints);
+      refine);
   evaluations += refined.evaluations;
   const WcslResult wcsl = evaluate_wcsl(inst.app, inst.arch,
                                         refined.assignment, opts.fault_model);
