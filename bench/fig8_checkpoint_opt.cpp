@@ -118,10 +118,8 @@ int main(int argc, char** argv) {
   std::printf("  incremental evaluator: %lld evaluations, %.1f%% of the "
               "WCSL DP row work served from the base cache\n",
               total.evaluations, 100.0 * total.dp_reuse_fraction());
-  std::printf("  list scheduler: %.1f%% of candidate placements resumed; "
-              "%lld of %lld rebases served by the winning-move cache\n",
-              100.0 * total.ls_resume_fraction(), total.rebase_cache_hits,
-              total.rebases);
+  std::printf("  list scheduler: %.1f%% of candidate placements resumed\n",
+              100.0 * total.ls_resume_fraction());
   const double seconds = watch.seconds();
   std::printf("  wall-clock: %.2fs\n", seconds);
 

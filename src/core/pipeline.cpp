@@ -19,7 +19,6 @@ void fill_eval_metrics(StageMetrics& metrics, const EvalStats& spent) {
   metrics.cache_misses = spent.dp_vertices_total - spent.dp_vertices_reused;
   metrics.sched_events_total = spent.ls_events_total;
   metrics.sched_events_resumed = spent.ls_events_resumed;
-  metrics.rebase_cache_hits = spent.rebase_cache_hits;
   metrics.snapshot_bytes_copied = spent.snapshot_bytes_copied;
 }
 
@@ -42,7 +41,6 @@ std::string StageMetrics::to_json() const {
       << ", \"cache_misses\": " << cache_misses
       << ", \"sched_events_total\": " << sched_events_total
       << ", \"sched_events_resumed\": " << sched_events_resumed
-      << ", \"rebase_cache_hits\": " << rebase_cache_hits
       << ", \"snapshot_bytes_copied\": " << snapshot_bytes_copied
       << ", \"search_iterations\": " << search_iterations
       << ", \"search_accepted\": " << search_accepted

@@ -49,7 +49,6 @@ struct StageMetrics {
   /// needed, and how many were served by checkpoint-snapshot resumes.
   long long sched_events_total = 0;
   long long sched_events_resumed = 0;
-  long long rebase_cache_hits = 0;  ///< rebases served by the move cache
   /// Bytes of the checkpoint-log snapshots the stage's rebases rebuilt.
   long long snapshot_bytes_copied = 0;
   /// Neighborhood-search engine counters (opt/search_engine.h) of the

@@ -105,9 +105,8 @@ class CheckpointDescentProblem final : public SearchProblem {
     return eval_.evaluate_move(move.pid, move.plan).makespan;
   }
 
-  Time commit(const PolicyAssignment& current, const Move* accepted) override {
-    return eval_.rebase(current, accepted ? accepted->pid : ProcessId{})
-        .makespan;
+  Time commit(const PolicyAssignment& current) override {
+    return eval_.rebase(current).makespan;
   }
 
  private:

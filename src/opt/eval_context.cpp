@@ -1,37 +1,10 @@
 #include "opt/eval_context.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 
 namespace ftes {
-
-namespace {
-
-/// Total order on (process, plan) moves, used to break metric ties in the
-/// winning-move cache deterministically: the parallel neighborhood
-/// evaluation updates the cache in a thread-dependent order, and without a
-/// total order the surviving tie entry -- and hence the rebase hit/miss
-/// pattern reported by EvalStats -- would vary with the thread count.
-bool move_key_less(ProcessId a_pid, const ProcessPlan& a, ProcessId b_pid,
-                   const ProcessPlan& b) {
-  if (a_pid != b_pid) return a_pid < b_pid;
-  if (a.kind != b.kind) return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-  if (a.copies.size() != b.copies.size()) {
-    return a.copies.size() < b.copies.size();
-  }
-  for (std::size_t j = 0; j < a.copies.size(); ++j) {
-    const CopyPlan& x = a.copies[j];
-    const CopyPlan& y = b.copies[j];
-    if (x.node != y.node) return x.node < y.node;
-    if (x.checkpoints != y.checkpoints) return x.checkpoints < y.checkpoints;
-    if (x.recoveries != y.recoveries) return x.recoveries < y.recoveries;
-  }
-  return false;
-}
-
-}  // namespace
 
 EvalContext::EvalContext(const Application& app, const Architecture& arch,
                          FaultModel model)
@@ -131,36 +104,6 @@ EvalContext::Outcome EvalContext::outcome_from_base_rows() const {
   return out;
 }
 
-void EvalContext::invalidate_winner_cache() {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  best_cost_ = CacheEntry{};
-  best_span_ = CacheEntry{};
-}
-
-std::int32_t EvalContext::single_diff_pid(const PolicyAssignment& base,
-                                          ProcessId accepted) const {
-  if (base.process_count() != base_.process_count()) return -1;
-  if (accepted.valid()) {
-#ifndef NDEBUG
-    // The hint is a promise, not a request: nothing but `accepted` changed.
-    for (int i = 0; i < base.process_count(); ++i) {
-      assert(i == accepted.get() ||
-             base.plan(ProcessId{i}) == base_.plan(ProcessId{i}));
-    }
-#endif
-    return base.plan(accepted) != base_.plan(accepted) ? accepted.get() : -1;
-  }
-  std::int32_t diff_pid = -1;
-  int diffs = 0;
-  for (int i = 0; i < base.process_count() && diffs <= 1; ++i) {
-    if (base.plan(ProcessId{i}) != base_.plan(ProcessId{i})) {
-      diff_pid = i;
-      ++diffs;
-    }
-  }
-  return diffs == 1 ? diff_pid : -1;
-}
-
 void EvalContext::rebuild_base_schedule(const PolicyAssignment& base) {
   base_sched_ = list_schedule(app_, arch_, base, base_log_);
   long long bytes = 0;
@@ -172,50 +115,8 @@ void EvalContext::rebuild_base_schedule(const PolicyAssignment& base) {
 }
 
 EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
-                                         ProcessId accepted) {
+                                         ProcessId) {
   const int k = model_.k;
-
-  // Winning-move cache: when the new base is the old base with exactly one
-  // plan replaced, and that (process, plan) matches a cached candidate,
-  // adopt the candidate's DAG + DP rows wholesale.  Only the fault-free
-  // schedule and its checkpoint log are rebuilt, so the accept step skips
-  // the DAG build and the DP.
-  if (base_has_dp_) {
-    const std::int32_t diff_pid = single_diff_pid(base, accepted);
-    if (diff_pid >= 0) {
-      Outcome out;
-      bool hit = false;
-      {
-        std::lock_guard<std::mutex> lock(cache_mutex_);
-        for (CacheEntry* slot : {&best_cost_, &best_span_}) {
-          if (slot->valid && slot->pid.get() == diff_pid &&
-              slot->plan == base.plan(ProcessId{diff_pid})) {
-            // Both slots may share these artifacts; both are invalidated
-            // below, before the lock is released, so moving out is safe.
-            base_dag_ = std::move(slot->artifacts->dag);
-            base_L_ = std::move(slot->artifacts->L);
-            out = slot->outcome;
-            best_cost_ = CacheEntry{};
-            best_span_ = CacheEntry{};
-            hit = true;
-            break;
-          }
-        }
-      }
-      if (hit) {
-        rebuild_base_schedule(base);
-        base_ = base;
-        ++version_;
-        rebuild_base_lookups();
-        base_has_dp_ = true;
-        rebases_.fetch_add(1, std::memory_order_relaxed);
-        rebase_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        return out;
-      }
-    }
-  }
-
-  invalidate_winner_cache();
   rebuild_base_schedule(base);
   base_ = base;
   ++version_;
@@ -232,7 +133,6 @@ EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
 }
 
 Time EvalContext::rebase_fault_free(const PolicyAssignment& base) {
-  invalidate_winner_cache();
   base_has_dp_ = false;
   rebuild_base_schedule(base);
   base_ = base;
@@ -352,37 +252,6 @@ EvalContext::Outcome EvalContext::incremental_outcome(Workspace& ws,
   return out;
 }
 
-void EvalContext::maybe_cache_winner(Workspace& ws, ProcessId pid,
-                                     const Outcome& outcome) {
-  const ProcessPlan& plan = ws.assignment.plan(pid);
-  const auto improves = [&](Time metric, Time slot_metric,
-                            const CacheEntry& slot) {
-    if (!slot.valid) return true;
-    if (metric != slot_metric) return metric < slot_metric;
-    return move_key_less(pid, plan, slot.pid, slot.plan);
-  };
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  const bool cost_improves =
-      improves(outcome.cost, best_cost_.outcome.cost, best_cost_);
-  const bool span_improves =
-      improves(outcome.makespan, best_span_.outcome.makespan, best_span_);
-  if (!cost_improves && !span_improves) return;
-  // The workspace artifacts are dead after this evaluation (the next move
-  // rebuilds them), so stealing them keeps the critical section O(1).
-  auto artifacts = std::make_shared<CachedArtifacts>();
-  artifacts->dag = std::move(ws.dag);
-  artifacts->L = std::move(ws.L);
-  const auto store = [&](CacheEntry& slot) {
-    slot.valid = true;
-    slot.pid = pid;
-    slot.plan = plan;
-    slot.outcome = outcome;
-    slot.artifacts = artifacts;
-  };
-  if (cost_improves) store(best_cost_);
-  if (span_improves) store(best_span_);
-}
-
 EvalContext::Outcome EvalContext::evaluate_move(ProcessId pid,
                                                 const ProcessPlan& plan) {
   if (!base_has_dp_) {
@@ -391,9 +260,7 @@ EvalContext::Outcome EvalContext::evaluate_move(ProcessId pid,
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   incremental_evals_.fetch_add(1, std::memory_order_relaxed);
   return with_move(pid, plan, [&](Workspace& ws) {
-    const Outcome out = incremental_outcome(ws, pid);
-    maybe_cache_winner(ws, pid, out);
-    return out;
+    return incremental_outcome(ws, pid);
   });
 }
 
@@ -449,7 +316,6 @@ EvalStats EvalContext::stats() const {
   s.ls_events_total = ls_events_total_.load(std::memory_order_relaxed);
   s.ls_events_resumed = ls_events_resumed_.load(std::memory_order_relaxed);
   s.heap_pops = heap_pops_.load(std::memory_order_relaxed);
-  s.rebase_cache_hits = rebase_cache_hits_.load(std::memory_order_relaxed);
   s.snapshot_bytes_copied =
       snapshot_bytes_copied_.load(std::memory_order_relaxed);
   return s;

@@ -21,30 +21,25 @@
 //     order included) into buffers it keeps across evaluations, with
 //     build_wcsl_dag_into, and resizes -- never clears -- its DP rows, so
 //     a warmed-up workspace evaluates without allocating DAG or row
-//     storage.  (A DAG and rows moved into the winning-move cache below
-//     are re-grown by the next build; the edge-list scratch stays put.)
+//     storage.
 //   * The base's DP rows are cached.  A candidate's augmented DAG is
 //     diffed against the base's: a vertex whose release, weight table and
 //     predecessor set are unchanged, and whose predecessors are all clean,
 //     reuses the cached row; everything downstream of a change is
 //     recomputed (dirty-successor propagation).
-//   * During a sweep the best candidate's DAG + DP rows are kept; a
-//     rebase() onto exactly that winning move adopts them (a pointer swap)
-//     instead of re-running the DP -- the common accept step of the search
-//     engine's loop then pays only a from-scratch list schedule that
-//     records the new base's checkpoint log.
+//
+// A rebase() builds the new base from scratch: its list schedule with a
+// fresh checkpoint log, its DAG, all of its DP rows, and the diff lookups.
 //
 // Results are bit-identical to a from-scratch evaluation: the resumed list
 // schedule is exact by construction (property-tested against full
 // rebuilds), and a reused row equals the row the full DP would compute
 // (the same integer recurrence on inputs proven equal by the diff).
-// EvalStats reports the reuse rates of all three layers.
+// EvalStats reports the reuse rates of both layers.
 //
 // Thread safety: evaluate_move / fault_free_makespan may run concurrently
 // (the parallel neighborhood evaluation relies on this); rebase /
-// rebase_fault_free must not race with in-flight evaluations.  The
-// winning-move cache resolves cost ties by a total order on moves, so its
-// content -- and therefore every counter -- is thread-count invariant.
+// rebase_fault_free must not race with in-flight evaluations.
 #pragma once
 
 #include <atomic>
@@ -74,15 +69,11 @@ class EvalContext {
     Time cost = 0;      ///< makespan + soft local-deadline penalties
   };
 
-  /// Recomputes the cached schedule + DP for `base` and returns its
-  /// outcome.  When `base` is the previous base with exactly the cached
-  /// winning move applied, the candidate's artifacts are adopted instead
-  /// of recomputed (near-free; counted as a rebase cache hit).
-  /// Invalidates workspaces lazily.  A valid `accepted` asserts that the
-  /// new base differs from the old in at most that one plan (the engine's
-  /// accept step knows its move), skipping the O(P) diff scan of the
-  /// winning-move cache lookup.
-  Outcome rebase(const PolicyAssignment& base, ProcessId accepted = {});
+  /// Recomputes the cached schedule, checkpoint log, DAG and DP for `base`
+  /// from scratch and returns its outcome.  Invalidates workspaces lazily.
+  /// The ProcessId argument is ignored; it stays because
+  /// perfbench/src/traced.cpp calls rebase(base, pid).
+  Outcome rebase(const PolicyAssignment& base, ProcessId = {});
 
   /// Caches `base` for fault-free (list-schedule makespan) move evaluation
   /// only; builds the base schedule + checkpoint log but no DP.  Returns
@@ -115,34 +106,12 @@ class EvalContext {
     std::uint64_t version = 0;
     ListSchedule sched;
     WcslDag dag;
-    CsrDag::EdgeList dag_edges;  ///< build scratch, never cached
+    CsrDag::EdgeList dag_edges;  ///< build scratch
     std::vector<std::vector<Time>> L;
     std::vector<int> to_base;
     std::vector<char> clean;
     std::vector<int> mapped_preds;
     std::vector<Time> process_finish;
-  };
-
-  /// Winning-move cache: the artifacts of the best candidate evaluated
-  /// since the last rebase, one slot per selection metric (the policy tabu
-  /// search accepts by cost, the checkpoint refinement by makespan).
-  /// Ties resolve by a total order on (process, plan) so the cached entry
-  /// is identical for every thread count.  Artifacts are *moved* out of
-  /// the evaluating workspace and shared between the two slots, so a
-  /// store under the cache mutex is O(1) -- no DP-row copies on the
-  /// parallel evaluation path.  (The candidate's schedule is not kept:
-  /// an adopting rebase rebuilds it anyway to record a fresh checkpoint
-  /// log.)
-  struct CachedArtifacts {
-    WcslDag dag;
-    std::vector<std::vector<Time>> L;
-  };
-  struct CacheEntry {
-    bool valid = false;
-    ProcessId pid;
-    ProcessPlan plan;
-    Outcome outcome;
-    std::shared_ptr<CachedArtifacts> artifacts;
   };
 
   [[nodiscard]] std::unique_ptr<Workspace> acquire();
@@ -154,18 +123,8 @@ class EvalContext {
 
   [[nodiscard]] Outcome incremental_outcome(Workspace& ws, ProcessId pid);
   void record_resume_stats(const ListScheduleResumeStats& stats);
-  /// May move ws.dag / ws.L into the cache (they are dead after a move
-  /// evaluation and rebuilt by the next one).
-  void maybe_cache_winner(Workspace& ws, ProcessId pid,
-                          const Outcome& outcome);
-  void invalidate_winner_cache();
   /// Rebuilds base_sched_ + base_log_ for `base` from scratch.
   void rebuild_base_schedule(const PolicyAssignment& base);
-  /// The single plan in which `base` differs from the cached base_, or -1
-  /// for none/many.  O(1) when the `accepted` hint is valid (debug-checked
-  /// against a full scan), O(P) otherwise.
-  [[nodiscard]] std::int32_t single_diff_pid(const PolicyAssignment& base,
-                                             ProcessId accepted) const;
   void rebuild_base_lookups();
   [[nodiscard]] Outcome outcome_from_base_rows() const;
   [[nodiscard]] Time penalized_cost(const std::vector<Time>& process_finish,
@@ -196,10 +155,6 @@ class EvalContext {
   std::mutex ws_mutex_;
   std::vector<std::unique_ptr<Workspace>> idle_ws_;
 
-  std::mutex cache_mutex_;
-  CacheEntry best_cost_;  ///< minimizes (cost, move key)
-  CacheEntry best_span_;  ///< minimizes (makespan, move key)
-
   std::atomic<long long> evaluations_{0};
   std::atomic<long long> full_evals_{0};
   std::atomic<long long> incremental_evals_{0};
@@ -212,7 +167,6 @@ class EvalContext {
   std::atomic<long long> ls_events_total_{0};
   std::atomic<long long> ls_events_resumed_{0};
   std::atomic<long long> heap_pops_{0};
-  std::atomic<long long> rebase_cache_hits_{0};
   std::atomic<long long> snapshot_bytes_copied_{0};
 };
 

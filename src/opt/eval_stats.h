@@ -7,9 +7,8 @@
 // WCSL DP row cache (a reused vertex is a budgeted-longest-path row taken
 // from the cached base instead of recomputed) and the list-schedule
 // checkpoint log (a resumed event is a copy/transmission placement served
-// by a base snapshot instead of replayed).  `rebase_cache_hits` counts
-// base recomputations served wholesale from the winning candidate's cached
-// DAG + DP rows.
+// by a base snapshot instead of replayed).  Every rebase rebuilds the
+// base's schedule, log, DAG and DP rows from scratch.
 #pragma once
 
 namespace ftes {
@@ -30,12 +29,14 @@ struct EvalStats {
   long long ls_events_total = 0;    ///< placement events move schedules needed
   long long ls_events_resumed = 0;  ///< of those, served by snapshot prefixes
   long long heap_pops = 0;          ///< ready/tx queue pops in move schedules
-  long long rebase_cache_hits = 0;  ///< rebases served by the move cache
 
   /// Bytes of the checkpoint-log snapshots every rebase rebuilt
   /// (snapshot_bytes() summed over the new base's log).
   long long snapshot_bytes_copied = 0;
-  long long snapshot_refs_shared = 0;  ///< always 0; perfbench reads it
+
+  // Always 0, never summed: perfbench/src/traced.cpp reads both fields.
+  long long rebase_cache_hits = 0;
+  long long snapshot_refs_shared = 0;
 
   /// Fraction of DP rows served from the cache across incremental evals.
   [[nodiscard]] double dp_reuse_fraction() const {
@@ -66,7 +67,6 @@ struct EvalStats {
     ls_events_total += other.ls_events_total;
     ls_events_resumed += other.ls_events_resumed;
     heap_pops += other.heap_pops;
-    rebase_cache_hits += other.rebase_cache_hits;
     snapshot_bytes_copied += other.snapshot_bytes_copied;
   }
 
@@ -86,7 +86,6 @@ struct EvalStats {
     d.ls_events_total -= earlier.ls_events_total;
     d.ls_events_resumed -= earlier.ls_events_resumed;
     d.heap_pops -= earlier.heap_pops;
-    d.rebase_cache_hits -= earlier.rebase_cache_hits;
     d.snapshot_bytes_copied -= earlier.snapshot_bytes_copied;
     return d;
   }

@@ -80,8 +80,7 @@ class MappingProblem final : public SearchProblem {
     return eval_.fault_free_makespan(move.pid, move.plan);
   }
 
-  Time commit(const PolicyAssignment& current,
-              const Move* /*accepted*/) override {
+  Time commit(const PolicyAssignment& current) override {
     // Rebasing builds the base schedule + checkpoint log (so candidate
     // moves resume instead of rescheduling from scratch) and reports its
     // makespan.

@@ -235,8 +235,8 @@ class PolicyAssignmentProblem final : public SearchProblem {
     return eval_.evaluate_move(move.pid, move.plan).cost;
   }
 
-  Time commit(const PolicyAssignment& current, const Move* accepted) override {
-    return eval_.rebase(current, accepted ? accepted->pid : ProcessId{}).cost;
+  Time commit(const PolicyAssignment& current) override {
+    return eval_.rebase(current).cost;
   }
 
  private:

@@ -14,7 +14,7 @@ SearchResult neighborhood_search(SearchProblem& problem,
   ThreadPool& pool = options.pool ? *options.pool : ThreadPool::shared();
 
   PolicyAssignment current = std::move(initial);
-  Time current_cost = problem.commit(current, nullptr);
+  Time current_cost = problem.commit(current);
   // With require_improvement the incumbent is monotone, so `current` IS the
   // best and the per-improvement assignment copy is skipped.
   PolicyAssignment best;
@@ -78,7 +78,7 @@ SearchResult neighborhood_search(SearchProblem& problem,
 
     // --- phase 4: accept -------------------------------------------------
     current.plan(selected->pid) = selected->plan;
-    problem.commit(current, selected);
+    problem.commit(current);
     current_cost = threshold;
     ++stats.accepted_moves;
     // A selected move that is still tabu-recent got past the filter only

@@ -92,16 +92,13 @@ class SearchProblem {
   [[nodiscard]] virtual Time evaluate(const Move& move) = 0;
 
   /// Re-anchors incremental state (typically EvalContext::rebase) onto the
-  /// incumbent; called once before the first iteration with `accepted` ==
-  /// nullptr -- the return value is the incumbent's starting objective --
-  /// and after every acceptance with the accepted move, `current` being
-  /// the previous incumbent with exactly that move applied (the engine
-  /// then keeps the accepted candidate's evaluated objective, which equals
-  /// the return value bit-for-bit).  Problems backed by an EvalContext
-  /// forward accepted->pid as the rebase hint, so the single-plan diff per
-  /// acceptance is O(1) instead of an O(P) scan.
-  virtual Time commit(const PolicyAssignment& current,
-                      const Move* accepted) = 0;
+  /// incumbent `current`.  Called once before the first iteration -- the
+  /// return value is the incumbent's starting objective -- and after every
+  /// acceptance, `current` then being the previous incumbent with the
+  /// accepted move applied.  After an acceptance the engine keeps the
+  /// accepted candidate's evaluated objective, so commit(current) must
+  /// return exactly what evaluate() returned for that move.
+  virtual Time commit(const PolicyAssignment& current) = 0;
 };
 
 struct SearchOptions {

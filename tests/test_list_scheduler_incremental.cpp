@@ -186,7 +186,7 @@ TEST(ListSchedulerIncremental, ResumeActuallySkipsEventsForSinkMoves) {
   EXPECT_GT(stats.heap_pops, 0u);
 }
 
-TEST(ListSchedulerIncremental, EvalContextReportsResumesAndRebaseCacheHits) {
+TEST(ListSchedulerIncremental, EvalContextReportsResumesAcrossAcceptedRebase) {
   const Instance inst = make_instance(24, 3, 5);
   const FaultModel model{2};
   PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
@@ -194,8 +194,8 @@ TEST(ListSchedulerIncremental, EvalContextReportsResumesAndRebaseCacheHits) {
   EvalContext eval(inst.app, inst.arch, model);
   eval.rebase(base);
 
-  // Evaluate one move and rebase onto exactly that move: the winning-move
-  // cache must serve the rebase.
+  // Evaluate one move and rebase onto exactly that move: the from-scratch
+  // rebase must reproduce the move's incremental outcome.
   const ProcessId pid = inst.app.topological_order().back();
   ProcessPlan plan = base.plan(pid);
   plan.copies[0].checkpoints = plan.copies[0].checkpoints == 1 ? 2 : 1;
@@ -208,11 +208,10 @@ TEST(ListSchedulerIncremental, EvalContextReportsResumesAndRebaseCacheHits) {
   EXPECT_EQ(moved.cost, rebased.cost);
 
   const EvalStats stats = eval.stats();
-  EXPECT_EQ(stats.rebase_cache_hits, 1);
   EXPECT_EQ(stats.ls_resumes + stats.ls_full_builds, 1);
   EXPECT_GT(stats.ls_events_total, 0);
   EXPECT_GT(stats.heap_pops, 0);
-  // The adopted rebase must leave the evaluator fully usable.
+  // The rebase must leave the evaluator fully usable.
   const EvalContext::Outcome after = eval.evaluate_move(pid, base.plan(pid));
   PolicyAssignment back = accepted;
   back.plan(pid) = base.plan(pid);
@@ -243,15 +242,11 @@ TEST(ListSchedulerIncremental, OptimizerCountersAreThreadCountInvariant) {
   EXPECT_EQ(serial.eval_stats.ls_events_total,
             parallel.eval_stats.ls_events_total);
   EXPECT_EQ(serial.eval_stats.heap_pops, parallel.eval_stats.heap_pops);
-  EXPECT_EQ(serial.eval_stats.rebase_cache_hits,
-            parallel.eval_stats.rebase_cache_hits);
   EXPECT_EQ(serial.eval_stats.dp_vertices_reused,
             parallel.eval_stats.dp_vertices_reused);
   // The accepted-move rebase path runs on the serial accept step, so its
   // counters -- including raw byte counts -- must be exactly thread-count
   // invariant too.
-  EXPECT_EQ(serial.eval_stats.snapshot_refs_shared,
-            parallel.eval_stats.snapshot_refs_shared);
   EXPECT_EQ(serial.eval_stats.snapshot_bytes_copied,
             parallel.eval_stats.snapshot_bytes_copied);
   for (int i = 0; i < inst.app.process_count(); ++i) {

@@ -58,13 +58,7 @@ class TwoMoveProblem final : public SearchProblem {
   Time evaluate(const Move& move) override {
     return cost_of(move.plan.copies[0].checkpoints);
   }
-  Time commit(const PolicyAssignment& current, const Move* move) override {
-    // The initial commit carries no move; every acceptance carries the
-    // move the engine just applied to `current`.
-    EXPECT_EQ(move == nullptr, accepted.empty());
-    if (move) {
-      EXPECT_TRUE(current.plan(move->pid) == move->plan);
-    }
+  Time commit(const PolicyAssignment& current) override {
     accepted.push_back(decode(current));
     return cost_of(decode(current));
   }
@@ -114,8 +108,7 @@ class AspirationProblem final : public SearchProblem {
     return true;
   }
   Time evaluate(const Move& /*move*/) override { return 10 - iteration_; }
-  Time commit(const PolicyAssignment& /*current*/,
-              const Move* /*accepted*/) override {
+  Time commit(const PolicyAssignment& /*current*/) override {
     return 100;
   }
 
@@ -169,8 +162,7 @@ class CancelMidNeighborhoodProblem final : public SearchProblem {
     if (iteration_ == cancel_iteration_) token_.request_cancel();
     return 50 - iteration_ - move.plan.copies[0].checkpoints;
   }
-  Time commit(const PolicyAssignment& current,
-              const Move* /*accepted*/) override {
+  Time commit(const PolicyAssignment& current) override {
     last_committed = decode(current);
     return 100;
   }
@@ -249,8 +241,7 @@ class DescentProblem final : public SearchProblem {
     const int v = move.plan.copies[0].checkpoints;
     return static_cast<Time>((v - 6) * (v - 6));
   }
-  Time commit(const PolicyAssignment& current,
-              const Move* /*accepted*/) override {
+  Time commit(const PolicyAssignment& current) override {
     const int v = decode(current);
     trajectory.push_back(v);
     return static_cast<Time>((v - 6) * (v - 6));
@@ -298,8 +289,7 @@ class HashProblem final : public SearchProblem {
     x ^= x >> 13;
     return static_cast<Time>(100 + (x % 1000));
   }
-  Time commit(const PolicyAssignment& current,
-              const Move* /*accepted*/) override {
+  Time commit(const PolicyAssignment& current) override {
     trajectory.push_back(decode(current));
     return 5000;
   }
