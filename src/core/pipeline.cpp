@@ -15,8 +15,6 @@ namespace {
 
 void fill_eval_metrics(StageMetrics& metrics, const EvalStats& spent) {
   metrics.evaluations = spent.evaluations;
-  metrics.cache_hits = spent.dp_vertices_reused;
-  metrics.cache_misses = spent.dp_vertices_total - spent.dp_vertices_reused;
   metrics.sched_events_total = spent.ls_events_total;
   metrics.sched_events_resumed = spent.ls_events_resumed;
   metrics.snapshot_bytes_copied = spent.snapshot_bytes_copied;
@@ -37,8 +35,6 @@ std::string StageMetrics::to_json() const {
   json_escape(out, stage);
   out << ", \"skipped\": " << (skipped ? "true" : "false")
       << ", \"evaluations\": " << evaluations
-      << ", \"cache_hits\": " << cache_hits
-      << ", \"cache_misses\": " << cache_misses
       << ", \"sched_events_total\": " << sched_events_total
       << ", \"sched_events_resumed\": " << sched_events_resumed
       << ", \"snapshot_bytes_copied\": " << snapshot_bytes_copied
@@ -131,8 +127,8 @@ void ScheduleTableStage::run(SynthesisContext& ctx, SynthesisState& state,
                              StageMetrics& metrics) {
   const SynthesisOptions& options = ctx.options();
   const EvalStats before = ctx.eval().stats();
-  // Usually served straight from the cached base DP: the refinement stage
-  // left the evaluator rebased on exactly this assignment.
+  // The full analysis (per-copy worst-case times) the tables and the
+  // deadline check need.
   state.wcsl = ctx.eval().evaluate_full(state.assignment);
   state.schedulable = state.wcsl.meets_deadlines(ctx.app());
   fill_eval_metrics(metrics, ctx.eval().stats().since(before));

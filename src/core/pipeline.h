@@ -11,7 +11,7 @@
 // EvalContext (each optimizer rebases it on its own start; sharing reuses
 // its workspaces and aggregates its counters).  Stages read and write a
 // typed SynthesisState and report structured StageMetrics (evaluations,
-// cache hits/misses, wall-clock) that serialize to JSON.
+// schedule-resume and search counters, wall-clock) that serialize to JSON.
 //
 // A deadline watchdog sits on top of the stage list
 // (options.stage_budget_ms / total_budget_ms): the pipeline arms
@@ -43,8 +43,6 @@ struct StageMetrics {
   std::string stage;
   bool skipped = false;       ///< disabled by options or cancelled
   long long evaluations = 0;  ///< objective evaluations spent in the stage
-  long long cache_hits = 0;   ///< WCSL DP rows served from the EvalContext
-  long long cache_misses = 0; ///< WCSL DP rows recomputed
   /// List-scheduler incrementality: placement events candidate schedules
   /// needed, and how many were served by checkpoint-snapshot resumes.
   long long sched_events_total = 0;

@@ -3,11 +3,10 @@
 // The tabu optimizers and the checkpoint refinement evaluate tens of
 // thousands of candidates per run, each differing from an incumbent
 // assignment in a single process plan.  Evaluating a candidate from
-// scratch pays four times: a full PolicyAssignment copy per candidate, a
-// full fault-free list schedule rebuild, a fresh augmented schedule DAG
-// (sched/wcsl.h) with its topological order, and a full
-// budgeted-longest-path DP over it.  EvalContext removes or shrinks all
-// four:
+// scratch pays three times: a full PolicyAssignment copy per candidate, a
+// full fault-free list schedule rebuild, and fresh storage for the
+// augmented schedule DAG (sched/wcsl.h) and its budgeted-longest-path DP
+// rows.  EvalContext removes or shrinks all three:
 //
 //   * Moves are expressed as (process, new ProcessPlan) against a cached
 //     *base* assignment.  Per-thread workspaces materialize a candidate by
@@ -20,22 +19,17 @@
 //   * Each workspace builds the candidate's DAG (CSR form, topological
 //     order included) into buffers it keeps across evaluations, with
 //     build_wcsl_dag_into, and resizes -- never clears -- its DP rows, so
-//     a warmed-up workspace evaluates without allocating DAG or row
+//     a warmed-up workspace runs the full DP without allocating DAG or row
 //     storage.
-//   * The base's DP rows are cached.  A candidate's augmented DAG is
-//     diffed against the base's: a vertex whose release, weight table and
-//     predecessor set are unchanged, and whose predecessors are all clean,
-//     reuses the cached row; everything downstream of a change is
-//     recomputed (dirty-successor propagation).
 //
-// A rebase() builds the new base from scratch: its list schedule with a
-// fresh checkpoint log, its DAG, all of its DP rows, and the diff lookups.
+// A rebase() builds the new base's list schedule and checkpoint log from
+// scratch and runs the same full DP on it; the base keeps only its
+// assignment, schedule and log.
 //
 // Results are bit-identical to a from-scratch evaluation: the resumed list
 // schedule is exact by construction (property-tested against full
-// rebuilds), and a reused row equals the row the full DP would compute
-// (the same integer recurrence on inputs proven equal by the diff).
-// EvalStats reports the reuse rates of both layers.
+// rebuilds), and the DP is the one evaluate_wcsl runs.  EvalStats reports
+// how much of the list-schedule work the snapshot resumes served.
 //
 // Thread safety: evaluate_move / fault_free_makespan may run concurrently
 // (the parallel neighborhood evaluation relies on this); rebase /
@@ -69,29 +63,28 @@ class EvalContext {
     Time cost = 0;      ///< makespan + soft local-deadline penalties
   };
 
-  /// Recomputes the cached schedule, checkpoint log, DAG and DP for `base`
-  /// from scratch and returns its outcome.  Invalidates workspaces lazily.
+  /// Rebuilds the cached schedule and checkpoint log for `base` from
+  /// scratch and returns its WCSL outcome.  Invalidates workspaces lazily.
   /// The ProcessId argument is ignored; it stays because
   /// perfbench/src/traced.cpp calls rebase(base, pid).
   Outcome rebase(const PolicyAssignment& base, ProcessId = {});
 
-  /// Caches `base` for fault-free (list-schedule makespan) move evaluation
-  /// only; builds the base schedule + checkpoint log but no DP.  Returns
-  /// the base's own fault-free makespan.
+  /// Same cached base as rebase() without the WCSL analysis of `base`
+  /// itself; returns the base's own fault-free makespan.
   Time rebase_fault_free(const PolicyAssignment& base);
 
-  /// WCSL outcome of base-with-plan(pid)-replaced-by-plan, evaluated
-  /// incrementally against the cached DP.  Requires a prior rebase().
+  /// WCSL outcome of base-with-plan(pid)-replaced-by-plan; its schedule
+  /// resumes from the base's checkpoint log.  Requires a prior rebase() or
+  /// rebase_fault_free().
   [[nodiscard]] Outcome evaluate_move(ProcessId pid, const ProcessPlan& plan);
 
   /// Fault-free list-schedule makespan of the same move (the mapping
-  /// optimizer's objective).  Requires any prior rebase.
+  /// optimizer's objective).  Same precondition as evaluate_move.
   [[nodiscard]] Time fault_free_makespan(ProcessId pid,
                                          const ProcessPlan& plan);
 
-  /// Evaluation of an arbitrary assignment (stats-counted).  Served
-  /// entirely from the cached base DP when `assignment` equals the current
-  /// base; non-incremental otherwise.
+  /// Non-incremental evaluate_wcsl of an arbitrary assignment
+  /// (stats-counted).
   [[nodiscard]] WcslResult evaluate_full(const PolicyAssignment& assignment);
 
   [[nodiscard]] const PolicyAssignment& base() const { return base_; }
@@ -108,9 +101,6 @@ class EvalContext {
     WcslDag dag;
     CsrDag::EdgeList dag_edges;  ///< build scratch
     std::vector<std::vector<Time>> L;
-    std::vector<int> to_base;
-    std::vector<char> clean;
-    std::vector<int> mapped_preds;
     std::vector<Time> process_finish;
   };
 
@@ -121,36 +111,25 @@ class EvalContext {
   template <class Body>
   auto with_move(ProcessId pid, const ProcessPlan& plan, const Body& body);
 
-  [[nodiscard]] Outcome incremental_outcome(Workspace& ws, ProcessId pid);
+  /// Builds the DAG of (assignment, sched) into `ws`, runs the full DP
+  /// over it and returns the makespan and penalized cost.
+  [[nodiscard]] Outcome wcsl_outcome(Workspace& ws,
+                                     const PolicyAssignment& assignment,
+                                     const ListSchedule& sched) const;
   void record_resume_stats(const ListScheduleResumeStats& stats);
-  /// Rebuilds base_sched_ + base_log_ for `base` from scratch.
-  void rebuild_base_schedule(const PolicyAssignment& base);
-  void rebuild_base_lookups();
-  [[nodiscard]] Outcome outcome_from_base_rows() const;
-  [[nodiscard]] Time penalized_cost(const std::vector<Time>& process_finish,
-                                    Time makespan) const;
+  /// Caches `base` with a from-scratch schedule + checkpoint log.
+  void rebuild_base(const PolicyAssignment& base);
 
   const Application& app_;
   const Architecture& arch_;
   FaultModel model_;
 
-  // Cached base: assignment, its fault-free schedule + checkpoint log,
-  // augmented DAG, DP rows, and lookup structures for the candidate diff.
+  // Cached base: assignment, its fault-free schedule + checkpoint log.
   PolicyAssignment base_;
   std::uint64_t version_ = 0;
-  bool base_has_dp_ = false;
-  bool base_has_log_ = false;
+  bool has_base_ = false;
   ListSchedule base_sched_;
   ScheduleCheckpointLog base_log_;
-  WcslDag base_dag_;
-  CsrDag::EdgeList base_dag_edges_;
-  std::vector<std::vector<Time>> base_L_;
-  // (message, source copy) -> base transmission vertex via prefix offsets
-  // over the *base* plan shapes; -1 for keys absent from the base schedule.
-  // (The copy-side lookup needs no table: copy vertices are prefix-indexed
-  // by construction, see ListSchedule::first_copy.)
-  std::vector<int> base_first_tx_;
-  std::vector<int> base_msg_vertex_;
 
   std::mutex ws_mutex_;
   std::vector<std::unique_ptr<Workspace>> idle_ws_;
@@ -160,8 +139,6 @@ class EvalContext {
   std::atomic<long long> incremental_evals_{0};
   std::atomic<long long> fault_free_evals_{0};
   std::atomic<long long> rebases_{0};
-  std::atomic<long long> dp_vertices_total_{0};
-  std::atomic<long long> dp_vertices_reused_{0};
   std::atomic<long long> ls_full_builds_{0};
   std::atomic<long long> ls_resumes_{0};
   std::atomic<long long> ls_events_total_{0};

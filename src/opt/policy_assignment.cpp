@@ -315,8 +315,6 @@ OptimizeResult optimize_from(const Application& app, const Architecture& arch,
 
   OptimizeResult result;
   result.assignment = std::move(found.best);
-  // Served from the cached base DP when the search ends on its best
-  // assignment (the common case); full evaluation otherwise.
   const WcslResult wcsl = eval->evaluate_full(result.assignment);
   result.wcsl = wcsl.makespan;
   result.schedulable = wcsl.meets_deadlines(app);

@@ -163,7 +163,7 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
   return dag;
 }
 
-Time wcsl_dp_row(const WcslDag& dag, int v,
+void wcsl_dp_row(const WcslDag& dag, int v,
                  const std::vector<std::vector<Time>>& L, int k,
                  std::vector<Time>& row) {
   // First row[b] = best_in[b] = max over predecessors p of L(p, b);
@@ -177,7 +177,6 @@ Time wcsl_dp_row(const WcslDag& dag, int v,
       row[b] = std::max(row[b], in[b]);
     }
   }
-  const Time in_k = row[static_cast<std::size_t>(k)];
   // Then L(v, b) in place, b descending: it reads best_in[0..b] only.
   const Time release = dag.release[static_cast<std::size_t>(v)];
   const Time* w = dag.weight_row(v);
@@ -189,7 +188,6 @@ Time wcsl_dp_row(const WcslDag& dag, int v,
     }
     row[static_cast<std::size_t>(b)] = best;
   }
-  return in_k;
 }
 
 namespace {
@@ -252,23 +250,13 @@ WcslResult worst_case_schedule_length(const Application& app,
   model.validate();
   const int k = model.k;
   const WcslDag a = build_wcsl_dag(app, arch, assignment, k, schedule);
-  const int total = a.g.vertex_count();
-
-  // Budgeted longest-path DP in topological order (one wcsl_dp_row call per
-  // vertex).
-  std::vector<std::vector<Time>> L(static_cast<std::size_t>(total));
-  WcslResult result = make_result(app, a);
-
+  // Budgeted longest-path DP in topological order.
+  std::vector<std::vector<Time>> L(
+      static_cast<std::size_t>(a.g.vertex_count()));
   for (int v : a.g.topological_order()) {
-    const Time in_k =
-        wcsl_dp_row(a, v, L, k, L[static_cast<std::size_t>(v)]);
-    const Time worst =
-        L[static_cast<std::size_t>(v)][static_cast<std::size_t>(k)];
-    const Time worst_start =
-        std::max(a.release[static_cast<std::size_t>(v)], in_k);
-    fill_result_vertex(result, schedule, a, v, worst_start, worst);
+    wcsl_dp_row(a, v, L, k, L[static_cast<std::size_t>(v)]);
   }
-  return result;
+  return wcsl_result_from_rows(app, schedule, a, L, k);
 }
 
 WcslResult worst_case_transparent(const Application& app,

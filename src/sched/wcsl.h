@@ -147,17 +147,14 @@ void build_wcsl_dag_into(WcslDag& dag, CsrDag::EdgeList& edges,
 /// One row of the budgeted longest-path DP: fills `row` with L(v, b) for
 /// b = 0..k given the already-computed rows of v's predecessors in `L`
 /// (aliasing row == L[v] is fine, v never precedes itself).  Allocates
-/// only when `row` has less than k + 1 capacity.  Returns the incoming
-/// bound max_p L(p, k), i.e. the worst-case start of v before its release
-/// is applied.
-Time wcsl_dp_row(const WcslDag& dag, int v,
+/// only when `row` has less than k + 1 capacity.
+void wcsl_dp_row(const WcslDag& dag, int v,
                  const std::vector<std::vector<Time>>& L, int k,
                  std::vector<Time>& row);
 
-/// Rebuilds the full analysis result from already-computed DP rows `L` (as
-/// filled by wcsl_dp_row over `dag` in topological order).  Used by the
-/// incremental evaluator (opt/eval_context.h) to serve a final
-/// evaluate_full() of the cached base entirely from its cached rows.
+/// The full analysis result from already-computed DP rows `L` (as filled
+/// by wcsl_dp_row over `dag` in topological order); the last step of
+/// worst_case_schedule_length.
 [[nodiscard]] WcslResult wcsl_result_from_rows(
     const Application& app, const ListSchedule& schedule, const WcslDag& dag,
     const std::vector<std::vector<Time>>& L, int k);

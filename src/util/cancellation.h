@@ -12,8 +12,7 @@
 //     workers polling at their cancellation points are the watchdog.  The
 //     cancel latency is therefore bounded by one chunk of work between
 //     polls -- one candidate evaluation, one scenario simulation, or the
-//     schedule-table stage's full WCSL evaluation (usually served from the
-//     evaluator's cached rows).
+//     schedule-table stage's full WCSL evaluation.
 //
 // Tokens chain: a job of the synthesis server (serve/job_server.h) chains
 // its run's token to the server-wide token with set_parent(), so the

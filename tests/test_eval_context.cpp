@@ -1,7 +1,7 @@
-// Tests of the incremental evaluation context (opt/eval_context.h): the
-// dirty-successor DP reuse must be bit-identical to a from-scratch
-// evaluation for every move family, thread-safe under the parallel
-// neighborhood evaluation, and must actually reuse cached rows.
+// Tests of the incremental evaluation context (opt/eval_context.h): move
+// evaluations resumed from the base's checkpoint log must be bit-identical
+// to a from-scratch evaluation for every move family, and thread-safe
+// under the parallel neighborhood evaluation.
 #include "opt/eval_context.h"
 
 #include <gtest/gtest.h>
@@ -118,28 +118,6 @@ TEST(EvalContext, RebaseOutcomeMatchesFullEvaluation) {
   EXPECT_EQ(out.cost, assignment_cost(inst.app, inst.arch, base, model));
 }
 
-TEST(EvalContext, ReusesCachedRowsForLocalizedMoves) {
-  const Instance inst = make_instance(30, 3, 9);
-  const FaultModel model{3};
-  PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
-                                         PolicySpace::kCheckpointingOnly, 8);
-  EvalContext eval(inst.app, inst.arch, model);
-  eval.rebase(base);
-
-  // A checkpoint change on the last process in topological order leaves
-  // most of the DAG untouched.
-  const ProcessId pid = inst.app.topological_order().back();
-  ProcessPlan plan = base.plan(pid);
-  plan.copies[0].checkpoints = plan.copies[0].checkpoints == 1 ? 2 : 1;
-  (void)eval.evaluate_move(pid, plan);
-
-  const EvalStats stats = eval.stats();
-  EXPECT_EQ(stats.incremental_evals, 1);
-  EXPECT_GT(stats.dp_vertices_total, 0);
-  EXPECT_GT(stats.dp_vertices_reused, stats.dp_vertices_total / 2)
-      << "a sink-move should reuse most cached DP rows";
-}
-
 TEST(EvalContext, FaultFreeMakespanMatchesListSchedule) {
   const Instance inst = make_instance(16, 3, 21);
   const FaultModel model{0};
@@ -165,6 +143,24 @@ TEST(EvalContext, FaultFreeMakespanMatchesListSchedule) {
     candidate.plan(pid) = plan;
     EXPECT_EQ(eval.fault_free_makespan(pid, plan),
               list_schedule(inst.app, inst.arch, candidate).makespan);
+  }
+
+  // A fault-free rebase caches the same base as rebase(): WCSL move
+  // evaluations run against it under a fault model with k >= 1.
+  const FaultModel faulty{2};
+  const PolicyAssignment ft_base = greedy_initial(
+      inst.app, inst.arch, faulty, PolicySpace::kCheckpointingOnly, 8);
+  EvalContext ft_eval(inst.app, inst.arch, faulty);
+  ft_eval.rebase_fault_free(ft_base);
+  for (int move = 0; move < 20; ++move) {
+    const ProcessId pid{static_cast<std::int32_t>(
+        rng.index(static_cast<std::size_t>(inst.app.process_count())))};
+    const ProcessPlan plan = random_move(inst, ft_base, pid, faulty, rng);
+    PolicyAssignment candidate = ft_base;
+    candidate.plan(pid) = plan;
+    EXPECT_EQ(ft_eval.evaluate_move(pid, plan).makespan,
+              evaluate_wcsl(inst.app, inst.arch, candidate, faulty).makespan)
+        << "move " << move;
   }
 }
 
@@ -312,8 +308,8 @@ TEST(EvalContext, AcceptRunStaysExact) {
 // change the moved process's copy count, which remap the vertex ids of
 // every later process during the resume.  The search engine keeps an
 // accepted candidate's evaluated objective as the new incumbent's, so each
-// accepted move's incremental evaluation (DP rows partly reused from the
-// old base) must also equal the from-scratch rebase onto it.
+// accepted move's incremental evaluation (its schedule resumed from the
+// old base's log) must also equal the from-scratch rebase onto it.
 TEST(EvalContext, RandomAcceptChainStaysExact) {
   const Instance inst = make_instance(18, 3, 404);
   const FaultModel model{2};
