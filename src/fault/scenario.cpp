@@ -13,6 +13,18 @@ void FaultScenario::add_fault(CopyRef copy, int count) {
   total_ += count;
 }
 
+void FaultScenario::remove_fault(CopyRef copy, int count) {
+  if (count < 0) throw std::invalid_argument("negative fault count");
+  if (count == 0) return;
+  auto it = hits_.find(copy);
+  if (it == hits_.end() || it->second < count) {
+    throw std::invalid_argument("removing more faults than the copy has");
+  }
+  it->second -= count;
+  if (it->second == 0) hits_.erase(it);
+  total_ -= count;
+}
+
 int FaultScenario::faults_on(CopyRef copy) const {
   auto it = hits_.find(copy);
   return it == hits_.end() ? 0 : it->second;
@@ -59,10 +71,9 @@ std::vector<FaultScenario> enumerate_scenarios(
       return;
     }
     for (int f = 0; f <= remaining; ++f) {
-      FaultScenario saved = current;
       current.add_fault(copies[index], f);
       recurse(index + 1, remaining - f);
-      current = std::move(saved);
+      current.remove_fault(copies[index], f);
     }
   };
   recurse(0, k);

@@ -38,6 +38,9 @@ class FaultScenario {
   FaultScenario() = default;
 
   void add_fault(CopyRef copy, int count = 1);
+  /// Undoes add_fault(copy, count); throws std::invalid_argument if the
+  /// copy has fewer than `count` faults.
+  void remove_fault(CopyRef copy, int count = 1);
   [[nodiscard]] int faults_on(CopyRef copy) const;
   [[nodiscard]] int total_faults() const { return total_; }
   [[nodiscard]] const std::map<CopyRef, int>& hits() const { return hits_; }

@@ -1,6 +1,7 @@
 #include "ftcpg/ftcpg.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -10,12 +11,17 @@
 namespace ftes {
 
 void Guard::add(Literal lit) {
-  if (contains(Literal{lit.vertex, !lit.faulted})) {
-    throw std::logic_error("contradictory literal added to guard");
-  }
-  if (contains(lit)) return;
-  lits_.push_back(lit);
-  std::sort(lits_.begin(), lits_.end());
+  // Literals order by (vertex, faulted), so the opposite-polarity partner of
+  // `lit` can only sit right before the insertion point (lit faulted) or at
+  // it (lit not faulted).
+  const auto it = std::lower_bound(lits_.begin(), lits_.end(), lit);
+  const bool partner =
+      lit.faulted
+          ? it != lits_.begin() && std::prev(it)->vertex == lit.vertex
+          : it != lits_.end() && it->vertex == lit.vertex && it->faulted;
+  if (partner) throw std::logic_error("contradictory literal added to guard");
+  if (it != lits_.end() && *it == lit) return;
+  lits_.insert(it, lit);
 }
 
 bool Guard::contains(Literal lit) const {
@@ -33,6 +39,19 @@ bool Guard::contradicts(const Guard& other) const {
     if (other.contains(Literal{l.vertex, !l.faulted})) return true;
   }
   return false;
+}
+
+void Guard::intersect_with(const Guard& other) {
+  // Linear merge of the two sorted literal lists, written in place: the
+  // output position never passes the read position.
+  auto out = lits_.begin();
+  auto b = other.lits_.begin();
+  for (auto a = lits_.begin(); a != lits_.end(); ++a) {
+    while (b != other.lits_.end() && *b < *a) ++b;
+    if (b == other.lits_.end()) break;
+    if (*b == *a) *out++ = *a;
+  }
+  lits_.erase(out, lits_.end());
 }
 
 Guard Guard::conjoin(const Guard& other) const {

@@ -48,6 +48,8 @@ class Guard {
  public:
   Guard() = default;
 
+  /// Inserts `lit` in order (no-op if present); throws std::logic_error if
+  /// the opposite literal is present.
   void add(Literal lit);
   [[nodiscard]] const std::vector<Literal>& literals() const { return lits_; }
   [[nodiscard]] bool contains(Literal lit) const;
@@ -56,6 +58,8 @@ class Guard {
   /// True if the two guards cannot hold simultaneously (some vertex appears
   /// with opposite polarity).
   [[nodiscard]] bool contradicts(const Guard& other) const;
+  /// Keeps only the literals `other` also has (a linear merge).
+  void intersect_with(const Guard& other);
   /// Conjunction of two guards; throws std::logic_error if contradictory.
   [[nodiscard]] Guard conjoin(const Guard& other) const;
   friend bool operator==(const Guard& a, const Guard& b) {

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
+#include <functional>
+#include <numeric>
 #include <stdexcept>
+#include <tuple>
+#include <unordered_map>
 
 #include "fault/recovery.h"
 #include "sched/list_scheduler.h"
+#include "util/binary_heap.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -20,22 +24,31 @@ struct CopyInfo {
   NodeId node;
   RecoveryParams params;
   int checkpoints = 0;   ///< 0 = pure replica
-  int recoveries = 0;
+  int r_cond = 0;        ///< faults a run survives (0 for a pure replica)
   Time release = 0;
   bool frozen = false;
   std::string name;      ///< display: "P1" or "P1(2)"
   Time rank = 0;         ///< list-scheduling priority
+  /// Dependency slots in the per-scenario resolved bitmap: one per (input
+  /// message, producer copy), one per frozen input message.
+  int first_slot = 0;
+  int slot_count = 0;
+  int first_cond = 0;    ///< cond_ids_ offset of fault indices 1..r_cond+1
+  int first_item = 0;    ///< item_key_ offset of attempts 1..r_cond+1
 };
 
-struct TripleKey {
-  int dst_copy;  ///< global copy index of the consumer
-  std::int32_t msg;
-  int src_copy;  ///< producer copy index within its plan; -1 for frozen sync
-  friend bool operator<(const TripleKey& a, const TripleKey& b) {
-    if (a.dst_copy != b.dst_copy) return a.dst_copy < b.dst_copy;
-    if (a.msg != b.msg) return a.msg < b.msg;
-    return a.src_copy < b.src_copy;
-  }
+/// Static data about one message, shared by all scenarios.
+struct MsgInfo {
+  bool frozen = false;     ///< transparency respected and message frozen
+  bool needs_bus = false;  ///< frozen, or some producer/consumer copy pair
+                           ///< sits on different nodes
+  int src_first = 0;       ///< global index of producer copy 0
+  int src_count = 0;
+  int dst_first = 0;       ///< global index of consumer copy 0
+  int dst_count = 0;
+  int slot = 0;            ///< slot offset within each consumer copy's block
+  int first_item = 0;      ///< item_key_ offset: producer copies 0..n-1,
+                           ///< then the frozen sync transmission
 };
 
 class CondSim {
@@ -59,10 +72,13 @@ class CondSim {
     // Register every condition id a scenario can reveal, serially and in
     // scenario order, so the id numbering matches the serial generator and
     // the simulations below can run concurrently with a read-only registry.
+    std::vector<int> registered(copies_.size(), 0);
     for (std::size_t s = 0; s < scenarios.size(); ++s) {
       if ((s & 1023u) == 0u) throw_if_cancelled();
-      register_scenario_conditions(scenarios[s]);
+      register_scenario_conditions(scenarios[s], registered);
     }
+    build_condition_lookups();
+    build_table_keys();
 
     CondScheduleResult result;
     // Fixpoint over frozen starts.  Within one iteration the scenarios are
@@ -80,18 +96,16 @@ class CondSim {
       throw_if_cancelled();
       // Raise pins to the observed maxima.
       for (const ScenarioTrace& tr : result.traces) {
-        for (const ExecTrace& e : tr.execs) {
-          const std::size_t ci = static_cast<std::size_t>(
-              copy_at(e.copy.process.get(), e.copy.copy));
+        for (std::size_t ci = 0; ci < copies_.size(); ++ci) {
           if (!copies_[ci].frozen) continue;
           Time& pin = copy_pins_[ci];
-          if (e.start > pin) {
-            pin = e.start;
+          if (tr.execs[ci].start > pin) {
+            pin = tr.execs[ci].start;
             moved = true;
           }
         }
         for (const TxTrace& tx : tr.txs) {
-          if (tx.is_condition || !is_frozen_msg(tx.msg)) continue;
+          if (tx.is_condition || !msg_info(tx.msg).frozen) continue;
           Time& pin = msg_pins_[static_cast<std::size_t>(tx.msg.get())];
           if (tx.start > pin) {
             pin = tx.start;
@@ -114,11 +128,10 @@ class CondSim {
         result.frozen_starts[copies_[ci].name] = copy_pins_[ci];
       }
     }
-    for (const Message& m : app_.messages()) {
-      if (opts_.respect_transparency && m.frozen) {
-        // Report pinned frozen message starts alongside process pins.
-        result.frozen_starts[m.name] =
-            msg_pins_[static_cast<std::size_t>(&m - app_.messages().data())];
+    for (std::size_t mi = 0; mi < msgs_.size(); ++mi) {
+      // Report pinned frozen message starts alongside process pins.
+      if (msgs_[mi].frozen) {
+        result.frozen_starts[app_.messages()[mi].name] = msg_pins_[mi];
       }
     }
     build_tables(result);
@@ -139,10 +152,45 @@ class CondSim {
           first_copy_[static_cast<std::size_t>(i)] +
           pa_.plan(ProcessId{i}).copy_count();
     }
+
+    msgs_.resize(static_cast<std::size_t>(app_.message_count()));
+    frozen_outputs_.resize(static_cast<std::size_t>(app_.process_count()));
+    for (int mi = 0; mi < app_.message_count(); ++mi) {
+      const Message& m = app_.message(MessageId{mi});
+      MsgInfo& info = msgs_[static_cast<std::size_t>(mi)];
+      info.frozen = opts_.respect_transparency && m.frozen;
+      info.src_first = copy_at(m.src.get(), 0);
+      info.src_count = pa_.plan(m.src).copy_count();
+      info.dst_first = copy_at(m.dst.get(), 0);
+      info.dst_count = pa_.plan(m.dst).copy_count();
+      info.needs_bus = info.frozen;
+      for (const CopyPlan& s : pa_.plan(m.src).copies) {
+        for (const CopyPlan& d : pa_.plan(m.dst).copies) {
+          if (s.node != d.node) info.needs_bus = true;
+        }
+      }
+      // Message-id order: frozen messages completed by one commit are
+      // emitted in this order.
+      if (info.frozen) {
+        frozen_outputs_[static_cast<std::size_t>(m.src.get())].push_back(
+            MessageId{mi});
+      }
+    }
+
+    int slots = 0;
+    int conds = 0;
     for (int i = 0; i < app_.process_count(); ++i) {
       const ProcessId pid{i};
       const Process& proc = app_.process(pid);
       const ProcessPlan& plan = pa_.plan(pid);
+      // Slot layout of one consumer copy: its input messages in input
+      // order, each with one slot per producer copy (one if frozen).
+      int block = 0;
+      for (MessageId mid : app_.inputs(pid)) {
+        MsgInfo& info = msg_info(mid);
+        info.slot = block;
+        block += info.frozen ? 1 : info.src_count;
+      }
       for (int j = 0; j < plan.copy_count(); ++j) {
         const CopyPlan& cp = plan.copies[static_cast<std::size_t>(j)];
         CopyInfo info;
@@ -152,18 +200,25 @@ class CondSim {
             RecoveryParams{proc.wcet_on(cp.node), proc.alpha, proc.mu,
                            proc.chi};
         info.checkpoints = cp.checkpoints;
-        info.recoveries = cp.recoveries;
+        info.r_cond = cp.checkpoints >= 1 ? cp.recoveries : 0;
         info.release = proc.release;
         info.frozen = opts_.respect_transparency && proc.frozen;
         info.name = plan.copy_count() > 1
                         ? proc.name + "(" + std::to_string(j + 1) + ")"
                         : proc.name;
+        info.first_slot = slots;
+        info.slot_count = block;
+        slots += block;
+        info.first_cond = conds;
+        conds += info.r_cond + 1;
         assert(copy_at(pid.get(), j) == static_cast<int>(copies_.size()));
         copies_.push_back(info);
       }
     }
+    slot_total_ = static_cast<std::size_t>(slots);
+    cond_ids_.assign(static_cast<std::size_t>(conds), -1);
     copy_pins_.assign(copies_.size(), 0);
-    msg_pins_.assign(static_cast<std::size_t>(app_.message_count()), 0);
+    msg_pins_.assign(msgs_.size(), 0);
 
     // Priorities: the list scheduler's partial critical path (copies_ uses
     // the same prefix layout).
@@ -173,165 +228,170 @@ class CondSim {
     }
   }
 
-  [[nodiscard]] bool is_frozen_msg(MessageId m) const {
-    return opts_.respect_transparency &&
-           app_.message(m).frozen;
+  [[nodiscard]] MsgInfo& msg_info(MessageId m) {
+    return msgs_[static_cast<std::size_t>(m.get())];
+  }
+  [[nodiscard]] const MsgInfo& msg_info(MessageId m) const {
+    return msgs_[static_cast<std::size_t>(m.get())];
   }
 
-  /// True if message m needs a bus transmission under this assignment.
-  [[nodiscard]] bool msg_needs_bus(const Message& m) const {
-    if (is_frozen_msg(MessageId{static_cast<std::int32_t>(
-            &m - app_.messages().data())})) {
-      return true;
-    }
-    const ProcessPlan& sp = pa_.plan(m.src);
-    const ProcessPlan& dp = pa_.plan(m.dst);
-    for (const CopyPlan& s : sp.copies) {
-      for (const CopyPlan& d : dp.copies) {
-        if (s.node != d.node) return true;
-      }
-    }
-    return false;
+  /// Number of condition values the copy reveals in a run with `faults`
+  /// faults: fault indices 1..n, each "true" when that fault struck.
+  [[nodiscard]] static int revealed_conditions(const CopyInfo& ci,
+                                               int faults) {
+    return faults <= ci.r_cond ? std::min(faults + 1, ci.r_cond)
+                               : ci.r_cond + 1;
   }
 
   // ------------------------------------------------------------- scenario
   struct CopyRun {
-    bool committed = false;
     bool survived = true;
     int faults = 0;
+    int unresolved = 0;
     Time duration = 0;  ///< start -> end (completion or death)
     Time start = 0;
     Time end = 0;
-    int unresolved = 0;
     Time data_ready = 0;
-    std::vector<Time> attempt_offsets;           ///< relative
-    std::vector<Reveal> reveal_offsets;          ///< relative times
   };
 
   struct PendingTx {
     TxTrace tx;          ///< ready/sender/meta filled; start/finish pending
     int seq = 0;         ///< deterministic tie-break
   };
+  struct PendingTxLess {
+    bool operator()(const PendingTx& a, const PendingTx& b) const {
+      if (a.tx.ready != b.tx.ready) return a.tx.ready < b.tx.ready;
+      return a.seq < b.seq;
+    }
+  };
 
+  /// Simulates one scenario.  Per event the cost is a scan of the ready
+  /// list (copies whose inputs are all resolved) plus a log-time pop of the
+  /// pending transmissions; dependencies resolve in O(1) through the
+  /// resolved bitmap, and a frozen message is emitted by the commit that
+  /// completes its producers.
   ScenarioTrace simulate(const FaultScenario& scenario) const {
     ScenarioTrace trace;
     trace.scenario = scenario;
 
     std::vector<CopyRun> runs(copies_.size());
-    // Precompute per-copy fate.
+    for (const auto& [ref, count] : scenario.hits()) {
+      runs[static_cast<std::size_t>(copy_at(ref.process.get(), ref.copy))]
+          .faults = count;
+    }
+    std::vector<int> ready;
+    std::size_t reveal_count = 0;
     for (std::size_t i = 0; i < copies_.size(); ++i) {
       const CopyInfo& ci = copies_[i];
       CopyRun& run = runs[i];
-      run.faults = scenario.faults_on(ci.ref);
-      const int n = std::max(ci.checkpoints, 1);
-      const int r_cond = ci.checkpoints >= 1 ? ci.recoveries : 0;
-      run.survived = run.faults <= r_cond;
+      reveal_count +=
+          static_cast<std::size_t>(revealed_conditions(ci, run.faults));
+      run.survived = run.faults <= ci.r_cond;
       if (run.survived) {
         run.duration =
             ci.checkpoints >= 1
                 ? checkpointed_exec_time(ci.params, ci.checkpoints, run.faults)
                 : replica_exec_time(ci.params);
       } else {
-        run.duration = fault_occurrence_offset(ci.params, n, r_cond + 1) +
+        run.duration = fault_occurrence_offset(ci.params,
+                                               std::max(ci.checkpoints, 1),
+                                               ci.r_cond + 1) +
                        ci.params.alpha;
       }
-      run.attempt_offsets.push_back(0);
-      const int executed_recoveries =
-          run.survived ? run.faults : r_cond;
-      for (int a = 1; a <= executed_recoveries; ++a) {
-        run.attempt_offsets.push_back(
-            recovery_start_offset(ci.params, n, a));
-      }
-      // Condition reveals, as derived in DESIGN.md / recovery.h.  All ids
-      // were registered up front (run()), so the lookups are read-only and
-      // simulate() is safe to run concurrently across scenarios.
-      if (run.survived) {
-        const int last = std::min(run.faults + 1, r_cond);
-        for (int j = 1; j <= last; ++j) {
-          const bool value = j <= run.faults;
-          const Time at = value
-                              ? fault_occurrence_offset(ci.params, n, j)
-                              : run.duration;
-          run.reveal_offsets.push_back(Reveal{cond_lookup(ci, j), value, at});
-        }
-      } else {
-        for (int j = 1; j <= r_cond + 1; ++j) {
-          run.reveal_offsets.push_back(
-              Reveal{cond_lookup(ci, j), true,
-                     fault_occurrence_offset(ci.params, n, j)});
-        }
-      }
-      // Dependency counters: one triple per (input msg, producer copy) or
-      // one per frozen message.
-      for (MessageId mid : app_.inputs(ci.ref.process)) {
-        if (is_frozen_msg(mid)) {
-          run.unresolved += 1;
-        } else {
-          run.unresolved += pa_.plan(app_.message(mid).src).copy_count();
-        }
-      }
+      run.unresolved = ci.slot_count;
+      if (run.unresolved == 0) ready.push_back(static_cast<int>(i));
     }
 
-    // lint: cold-path -- per-scenario simulation state during table
-    // generation; the per-move evaluation path (opt/eval_context.h) never
-    // enters the conditional scheduler
-    std::map<TripleKey, bool> resolved;
+    trace.reveals.reserve(reveal_count);
+    std::vector<char> resolved(slot_total_, 0);
     auto resolve = [&](int dst_copy, MessageId mid, int src_copy, Time at) {
-      TripleKey key{dst_copy, mid.get(), src_copy};
-      auto [it, inserted] = resolved.emplace(key, true);
-      if (!inserted) return;
+      const CopyInfo& dst = copies_[static_cast<std::size_t>(dst_copy)];
+      char& done = resolved[static_cast<std::size_t>(
+          dst.first_slot + msg_info(mid).slot + std::max(src_copy, 0))];
+      if (done != 0) return;
+      done = 1;
       CopyRun& run = runs[static_cast<std::size_t>(dst_copy)];
       run.data_ready = std::max(run.data_ready, at);
-      --run.unresolved;
-      assert(run.unresolved >= 0);
+      assert(run.unresolved > 0);
+      if (--run.unresolved == 0) ready.push_back(dst_copy);
     };
-    std::vector<PendingTx> pending;
+    BinaryMinHeap<PendingTx, PendingTxLess> pending;
     int tx_seq = 0;
-    // Frozen messages: emitted once all producer copies committed.
-    std::vector<bool> frozen_emitted(
-        static_cast<std::size_t>(app_.message_count()), false);
+    std::vector<int> committed_copies(
+        static_cast<std::size_t>(app_.process_count()), 0);
 
     std::vector<Time> node_free(static_cast<std::size_t>(arch_.node_count()),
                                 0);
     Time bus_free = 0;
     std::size_t committed = 0;
 
+    // Frozen messages: emitted once all producer copies committed.
+    auto emit_frozen = [&](MessageId mid) {
+      const MsgInfo& info = msg_info(mid);
+      Time earliest = kTimeInfinity;
+      for (int src = info.src_first; src < info.src_first + info.src_count;
+           ++src) {
+        const CopyRun& run = runs[static_cast<std::size_t>(src)];
+        if (run.survived) earliest = std::min(earliest, run.end);
+      }
+      if (earliest == kTimeInfinity) {
+        throw std::logic_error(
+            "all producer copies of a frozen message died (inadmissible "
+            "scenario reached a frozen sync)");
+      }
+      PendingTx tx;
+      tx.tx.msg = mid;
+      tx.tx.src_copy = -1;
+      tx.tx.sender = copies_[static_cast<std::size_t>(info.src_first)].node;
+      tx.tx.ready =
+          std::max(earliest, msg_pins_[static_cast<std::size_t>(mid.get())]);
+      tx.seq = ++tx_seq;
+      pending.push(tx);
+    };
+
     // Resolution policy: local consumers of a copy resolve at the copy's
     // end (completion or locally observed death); remote consumers resolve
     // at the data transmission's end (survivor) or at the death broadcast's
     // end (dead copy).  resolve() is idempotent per triple.
-    auto commit_copy_fixed = [&](std::size_t i, Time start) {
+    auto commit_copy = [&](std::size_t i, Time start) {
       const CopyInfo& ci = copies_[i];
       CopyRun& run = runs[i];
-      run.committed = true;
       run.start = start;
       run.end = start + run.duration;
       node_free[static_cast<std::size_t>(ci.node.get())] = run.end;
       ++committed;
 
-      for (const Reveal& rel : run.reveal_offsets) {
-        Reveal abs{rel.cond_id, rel.value, start + rel.at};
-        trace.reveals.push_back(abs);
+      // Condition reveals, as derived in DESIGN.md / recovery.h: fault j
+      // is revealed "true" where it strikes; the first fault index that
+      // does not strike is revealed "false" at completion, if the copy
+      // could have recovered from it.
+      const int n = std::max(ci.checkpoints, 1);
+      const int reveals = revealed_conditions(ci, run.faults);
+      for (int j = 1; j <= reveals; ++j) {
+        const bool value = j <= run.faults;
+        const Time at =
+            start + (value ? fault_occurrence_offset(ci.params, n, j)
+                           : run.duration);
+        const int cond = cond_ids_[static_cast<std::size_t>(
+            ci.first_cond + j - 1)];
+        assert(cond >= 0);  // registered by register_scenario_conditions
+        trace.reveals.push_back(Reveal{cond, value, at});
         if (!opts_.schedule_condition_broadcasts) continue;
         PendingTx tx;
         tx.tx.is_condition = true;
-        tx.tx.cond_id = rel.cond_id;
-        tx.tx.value = rel.value;
+        tx.tx.cond_id = cond;
+        tx.tx.value = value;
         tx.tx.sender = ci.node;
-        tx.tx.ready = abs.at;
+        tx.tx.ready = at;
         tx.seq = ++tx_seq;
-        pending.push_back(tx);
+        pending.push(tx);
       }
 
       for (MessageId mid : app_.outputs(ci.ref.process)) {
-        const Message& m = app_.message(mid);
-        if (is_frozen_msg(mid)) continue;
-        const bool bus = msg_needs_bus(m);
-        // Local consumers always resolve at the copy's end (completion or
-        // locally observed death).
-        const ProcessPlan& dp = pa_.plan(m.dst);
-        for (int dj = 0; dj < dp.copy_count(); ++dj) {
-          const int dst = copy_at(m.dst.get(), dj);
+        const MsgInfo& info = msg_info(mid);
+        if (info.frozen) continue;
+        for (int dst = info.dst_first; dst < info.dst_first + info.dst_count;
+             ++dst) {
           if (copies_[static_cast<std::size_t>(dst)].node == ci.node) {
             resolve(dst, mid, ci.ref.copy, run.end);
           } else if (!run.survived && !opts_.schedule_condition_broadcasts) {
@@ -340,15 +400,20 @@ class CondSim {
             resolve(dst, mid, ci.ref.copy, run.end);
           }
         }
-        if (run.survived && bus) {
+        if (run.survived && info.needs_bus) {
           PendingTx tx;
           tx.tx.msg = mid;
           tx.tx.src_copy = ci.ref.copy;
           tx.tx.sender = ci.node;
           tx.tx.ready = run.end;
           tx.seq = ++tx_seq;
-          pending.push_back(tx);
+          pending.push(tx);
         }
+      }
+
+      const std::size_t pid = static_cast<std::size_t>(ci.ref.process.get());
+      if (++committed_copies[pid] == pa_.plan(ci.ref.process).copy_count()) {
+        for (MessageId mid : frozen_outputs_[pid]) emit_frozen(mid);
       }
     };
 
@@ -356,128 +421,77 @@ class CondSim {
     // transmission that encodes "fault r+1" of a dead copy commits, remote
     // consumers of that copy's messages resolve.
     auto on_condition_committed = [&](const TxTrace& tx) {
-      const CopyRef src = cond_copy_.at(tx.cond_id);
       const std::size_t ci = static_cast<std::size_t>(
-          copy_at(src.process.get(), src.copy));
+          cond_copy_[static_cast<std::size_t>(tx.cond_id)]);
       const CopyInfo& info = copies_[ci];
-      const CopyRun& run = runs[ci];
-      if (run.survived) return;
-      const int r_cond = info.checkpoints >= 1 ? info.recoveries : 0;
-      if (cond_index_.at(tx.cond_id) != r_cond + 1) return;
-      for (MessageId mid : app_.outputs(src.process)) {
-        if (is_frozen_msg(mid)) continue;
-        const Message& m = app_.message(mid);
-        const ProcessPlan& dp = pa_.plan(m.dst);
-        for (int dj = 0; dj < dp.copy_count(); ++dj) {
-          const int dst = copy_at(m.dst.get(), dj);
+      if (runs[ci].survived) return;
+      if (cond_index_[static_cast<std::size_t>(tx.cond_id)] !=
+          info.r_cond + 1) {
+        return;
+      }
+      for (MessageId mid : app_.outputs(info.ref.process)) {
+        const MsgInfo& m = msg_info(mid);
+        if (m.frozen) continue;
+        for (int dst = m.dst_first; dst < m.dst_first + m.dst_count; ++dst) {
           if (copies_[static_cast<std::size_t>(dst)].node != info.node) {
-            resolve(dst, mid, src.copy, tx.finish);
+            resolve(dst, mid, info.ref.copy, tx.finish);
           }
         }
       }
     };
 
     // ---- main event loop -------------------------------------------------
-    while (committed < copies_.size() || !pending.empty() ||
-           has_unemitted_frozen(frozen_emitted, runs)) {
-      // Emit frozen messages whose producers are all committed.
-      for (int mi = 0; mi < app_.message_count(); ++mi) {
-        const MessageId mid{mi};
-        if (!is_frozen_msg(mid) ||
-            frozen_emitted[static_cast<std::size_t>(mi)]) {
-          continue;
-        }
-        const Message& m = app_.message(mid);
-        const ProcessPlan& sp = pa_.plan(m.src);
-        bool all_committed = true;
-        Time earliest = kTimeInfinity;
-        for (int sj = 0; sj < sp.copy_count(); ++sj) {
-          const CopyRun& run =
-              runs[static_cast<std::size_t>(copy_at(m.src.get(), sj))];
-          if (!run.committed) {
-            all_committed = false;
-            break;
-          }
-          if (run.survived) earliest = std::min(earliest, run.end);
-        }
-        if (!all_committed) continue;
-        if (earliest == kTimeInfinity) {
-          throw std::logic_error(
-              "all producer copies of a frozen message died (inadmissible "
-              "scenario reached a frozen sync)");
-        }
-        PendingTx tx;
-        tx.tx.msg = mid;
-        tx.tx.src_copy = -1;
-        tx.tx.sender =
-            copies_[static_cast<std::size_t>(copy_at(m.src.get(), 0))]
-                .node;
-        tx.tx.ready =
-            std::max(earliest, msg_pins_[static_cast<std::size_t>(mi)]);
-        tx.seq = ++tx_seq;
-        pending.push_back(tx);
-        frozen_emitted[static_cast<std::size_t>(mi)] = true;
-      }
-
-      // Earliest startable copy.
+    while (committed < copies_.size() || !pending.empty()) {
+      // Earliest startable copy: start, then rank descending, then copy
+      // index ascending.
       Time best_start = kTimeInfinity;
       int best = -1;
-      for (std::size_t i = 0; i < copies_.size(); ++i) {
-        const CopyRun& run = runs[i];
-        if (run.committed || run.unresolved > 0) continue;
-        const CopyInfo& ci = copies_[i];
-        Time start = std::max({run.data_ready, ci.release,
+      std::size_t best_pos = 0;
+      for (std::size_t r = 0; r < ready.size(); ++r) {
+        const int i = ready[r];
+        const CopyInfo& ci = copies_[static_cast<std::size_t>(i)];
+        Time start = std::max({runs[static_cast<std::size_t>(i)].data_ready,
+                               ci.release,
                                node_free[static_cast<std::size_t>(
                                    ci.node.get())]});
-        if (ci.frozen) start = std::max(start, copy_pins_[i]);
-        if (start < best_start ||
+        if (ci.frozen) {
+          start = std::max(start, copy_pins_[static_cast<std::size_t>(i)]);
+        }
+        const bool wins =
+            start < best_start ||
             (start == best_start && best >= 0 &&
-             copies_[static_cast<std::size_t>(best)].rank < ci.rank)) {
+             (ci.rank > copies_[static_cast<std::size_t>(best)].rank ||
+              (ci.rank == copies_[static_cast<std::size_t>(best)].rank &&
+               i < best)));
+        if (wins) {
           best_start = start;
-          best = static_cast<int>(i);
+          best = i;
+          best_pos = r;
         }
       }
 
-      // Earliest pending transmission.
-      Time best_tx_ready = kTimeInfinity;
-      std::size_t tx_pick = pending.size();
-      for (std::size_t t = 0; t < pending.size(); ++t) {
-        if (pending[t].tx.ready < best_tx_ready ||
-            (pending[t].tx.ready == best_tx_ready &&
-             tx_pick < pending.size() &&
-             pending[t].seq < pending[tx_pick].seq)) {
-          best_tx_ready = pending[t].tx.ready;
-          tx_pick = t;
-        }
-      }
-
-      if (tx_pick < pending.size() &&
-          (best < 0 || best_tx_ready <= best_start)) {
-        PendingTx ptx = pending[tx_pick];
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(tx_pick));
-        TxTrace& tx = ptx.tx;
+      // Earliest pending transmission (ready, then emission order).
+      if (!pending.empty() &&
+          (best < 0 || pending.top().tx.ready <= best_start)) {
+        TxTrace tx = pending.top().tx;
+        pending.pop();
         const std::int64_t size =
             tx.is_condition ? 1 : app_.message(tx.msg).size;
-        const Time ready = std::max(tx.ready, bus_free);
-        tx.start = arch_.bus().next_slot_start(tx.sender, ready);
-        tx.finish = arch_.bus().transmission_finish(tx.sender, ready, size);
+        const Time ready_at = std::max(tx.ready, bus_free);
+        tx.start = arch_.bus().next_slot_start(tx.sender, ready_at);
+        tx.finish =
+            arch_.bus().transmission_finish(tx.sender, ready_at, size);
         bus_free = tx.finish;
         if (tx.is_condition) {
           on_condition_committed(tx);
-        } else if (tx.src_copy < 0) {
-          // Frozen sync: resolves every consumer copy.
-          const Message& m = app_.message(tx.msg);
-          const ProcessPlan& dp = pa_.plan(m.dst);
-          for (int dj = 0; dj < dp.copy_count(); ++dj) {
-            resolve(copy_at(m.dst.get(), dj), tx.msg, -1, tx.finish);
-          }
         } else {
-          // Data: remote consumers resolve at the transmission's end.
-          const Message& m = app_.message(tx.msg);
-          const ProcessPlan& dp = pa_.plan(m.dst);
-          for (int dj = 0; dj < dp.copy_count(); ++dj) {
-            const int dst = copy_at(m.dst.get(), dj);
-            if (copies_[static_cast<std::size_t>(dst)].node != tx.sender) {
+          // Frozen sync resolves every consumer copy; data resolves the
+          // remote consumers at the transmission's end.
+          const MsgInfo& info = msg_info(tx.msg);
+          for (int dst = info.dst_first;
+               dst < info.dst_first + info.dst_count; ++dst) {
+            if (tx.src_copy < 0 ||
+                copies_[static_cast<std::size_t>(dst)].node != tx.sender) {
               resolve(dst, tx.msg, tx.src_copy, tx.finish);
             }
           }
@@ -486,26 +500,32 @@ class CondSim {
         continue;
       }
 
-      if (best < 0) {
-        if (committed == copies_.size() && pending.empty()) break;
-        throw std::logic_error("conditional scheduler deadlock");
-      }
-      commit_copy_fixed(static_cast<std::size_t>(best), best_start);
+      if (best < 0) throw std::logic_error("conditional scheduler deadlock");
+      ready[best_pos] = ready.back();
+      ready.pop_back();
+      commit_copy(static_cast<std::size_t>(best), best_start);
     }
 
     // Collect execution records and the makespan.
+    trace.execs.reserve(copies_.size());
     for (std::size_t i = 0; i < copies_.size(); ++i) {
+      const CopyInfo& ci = copies_[i];
       const CopyRun& run = runs[i];
       ExecTrace e;
-      e.copy = copies_[i].ref;
+      e.copy = ci.ref;
       e.start = run.start;
       e.end = run.end;
       e.died = !run.survived;
       e.faults = run.faults;
-      for (Time off : run.attempt_offsets) {
-        e.attempt_starts.push_back(run.start + off);
+      const int n = std::max(ci.checkpoints, 1);
+      const int recoveries = run.survived ? run.faults : ci.r_cond;
+      e.attempt_starts.reserve(static_cast<std::size_t>(recoveries) + 1);
+      e.attempt_starts.push_back(run.start);
+      for (int a = 1; a <= recoveries; ++a) {
+        e.attempt_starts.push_back(run.start +
+                                   recovery_start_offset(ci.params, n, a));
       }
-      trace.execs.push_back(e);
+      trace.execs.push_back(std::move(e));
       if (run.survived) trace.makespan = std::max(trace.makespan, run.end);
     }
     for (const TxTrace& tx : trace.txs) {
@@ -516,144 +536,222 @@ class CondSim {
     return trace;
   }
 
-  [[nodiscard]] bool has_unemitted_frozen(
-      const std::vector<bool>& emitted,
-      const std::vector<CopyRun>& runs) const {
-    for (int mi = 0; mi < app_.message_count(); ++mi) {
-      if (!is_frozen_msg(MessageId{mi})) continue;
-      if (!emitted[static_cast<std::size_t>(mi)]) return true;
-    }
-    (void)runs;
-    return false;
-  }
-
   /// Registers, in deterministic copy / fault-index order, every condition
   /// id the given scenario reveals (the same sequence a lazy registration
-  /// inside simulate() would produce).
-  void register_scenario_conditions(const FaultScenario& scenario) {
-    for (const CopyInfo& ci : copies_) {
-      const int faults = scenario.faults_on(ci.ref);
-      const int r_cond = ci.checkpoints >= 1 ? ci.recoveries : 0;
-      const bool survived = faults <= r_cond;
-      const int last = survived ? std::min(faults + 1, r_cond) : r_cond + 1;
-      for (int j = 1; j <= last; ++j) cond_id(ci, j);
+  /// inside simulate() would produce).  `registered[ci]` is the highest
+  /// fault index registered so far for copy ci: a copy's ids are always
+  /// registered as a prefix 1..n, so only the indices above it are new.
+  void register_scenario_conditions(const FaultScenario& scenario,
+                                    std::vector<int>& registered) {
+    auto hit = scenario.hits().begin();
+    for (std::size_t ci = 0; ci < copies_.size(); ++ci) {
+      const CopyInfo& info = copies_[ci];
+      int faults = 0;
+      if (hit != scenario.hits().end() && hit->first == info.ref) {
+        faults = hit->second;
+        ++hit;
+      }
+      const int last = revealed_conditions(info, faults);
+      for (int j = registered[ci] + 1; j <= last; ++j) {
+        (void)registry_.id(info.ref, j, info.name);
+      }
+      registered[ci] = std::max(registered[ci], last);
     }
   }
 
-  int cond_id(const CopyInfo& ci, int fault_index) {
-    const int id = registry_.id(ci.ref, fault_index, ci.name);
-    if (static_cast<std::size_t>(id) >= cond_copy_.size()) {
-      cond_copy_.resize(static_cast<std::size_t>(id) + 1);
-      cond_index_.resize(static_cast<std::size_t>(id) + 1, 0);
+  /// Fills the read-only lookups simulate() uses once every id exists:
+  /// (copy, fault index) -> id, and id -> (copy, fault index).
+  void build_condition_lookups() {
+    cond_copy_.assign(static_cast<std::size_t>(registry_.size()), -1);
+    cond_index_.assign(static_cast<std::size_t>(registry_.size()), 0);
+    for (int id = 0; id < registry_.size(); ++id) {
+      const CopyRef ref = registry_.copy_of(id);
+      const int ci = copy_at(ref.process.get(), ref.copy);
+      const int j = registry_.fault_index_of(id);
+      cond_ids_[static_cast<std::size_t>(
+          copies_[static_cast<std::size_t>(ci)].first_cond + j - 1)] = id;
+      cond_copy_[static_cast<std::size_t>(id)] = ci;
+      cond_index_[static_cast<std::size_t>(id)] = j;
     }
-    cond_copy_[static_cast<std::size_t>(id)] = ci.ref;
-    cond_index_[static_cast<std::size_t>(id)] = fault_index;
-    return id;
-  }
-
-  /// Read-only id lookup used during (possibly concurrent) simulation.
-  [[nodiscard]] int cond_lookup(const CopyInfo& ci, int fault_index) const {
-    const int id = registry_.find(ci.ref, fault_index);
-    assert(id >= 0);  // registered by register_scenario_conditions
-    return id;
   }
 
   // --------------------------------------------------------------- tables
-  /// One prospective table activation extracted from one scenario trace.
-  struct TableRecord {
-    int node = -1;  ///< -1 = bus row
+  /// Where a table activation goes: node (-1 for the bus), row, label.
+  struct TableKey {
+    int node = -1;
     std::string row;
     std::string label;
+  };
+
+  /// Interns every activation a trace can produce -- (node or -1 for the
+  /// bus, row, label) -- as an integer key whose order is the string
+  /// order, so the fold never builds or compares strings.
+  void build_table_keys() {
+    std::vector<TableKey> items;
+    for (CopyInfo& ci : copies_) {
+      ci.first_item = static_cast<int>(items.size());
+      for (int a = 1; a <= ci.r_cond + 1; ++a) {
+        items.push_back(TableKey{ci.node.get(), ci.name,
+                                 ci.name + "/" + std::to_string(a)});
+      }
+    }
+    for (std::size_t mi = 0; mi < msgs_.size(); ++mi) {
+      MsgInfo& info = msgs_[mi];
+      const std::string& name = app_.messages()[mi].name;
+      info.first_item = static_cast<int>(items.size());
+      for (int c = 0; c < info.src_count; ++c) {
+        items.push_back(TableKey{-1, name,
+                                 info.src_count > 1
+                                     ? name + "(" + std::to_string(c + 1) + ")"
+                                     : name});
+      }
+      items.push_back(TableKey{-1, name, name});  // frozen sync
+    }
+    first_cond_item_ = static_cast<int>(items.size());
+    for (int id = 0; id < registry_.size(); ++id) {
+      items.push_back(TableKey{-1, registry_.label(id), ""});
+    }
+
+    std::vector<int> order(items.size());
+    std::iota(order.begin(), order.end(), 0);
+    auto less = [&](int a, int b) {
+      const TableKey& x = items[static_cast<std::size_t>(a)];
+      const TableKey& y = items[static_cast<std::size_t>(b)];
+      return std::tie(x.node, x.row, x.label) <
+             std::tie(y.node, y.row, y.label);
+    };
+    std::sort(order.begin(), order.end(), less);
+    item_key_.assign(items.size(), -1);
+    for (std::size_t r = 0; r < order.size(); ++r) {
+      const int item = order[r];
+      if (r == 0 || less(order[r - 1], item)) {
+        keys_.push_back(items[static_cast<std::size_t>(item)]);
+      }
+      item_key_[static_cast<std::size_t>(item)] =
+          static_cast<int>(keys_.size()) - 1;
+    }
+  }
+
+  /// One table column: activation key, start, and the intersection of the
+  /// guards of every scenario that produces it.
+  struct Column {
+    int key = -1;
     Time start = 0;
     Guard guard;
   };
+  struct ColumnId {
+    int key;
+    Time start;
+    friend bool operator==(const ColumnId& a, const ColumnId& b) {
+      return a.key == b.key && a.start == b.start;
+    }
+  };
+  struct ColumnIdHash {
+    std::size_t operator()(const ColumnId& c) const {
+      return std::hash<std::uint64_t>{}(
+          static_cast<std::uint64_t>(c.start) * 0x9e3779b97f4a7c15ULL ^
+          static_cast<std::uint64_t>(c.key));
+    }
+  };
+  /// Columns folded from a run of traces, in first-seen order.
+  struct ColumnFold {
+    std::unordered_map<ColumnId, std::size_t, ColumnIdHash> index;
+    std::vector<Column> columns;
 
-  [[nodiscard]] std::vector<TableRecord> trace_records(
-      const ScenarioTrace& tr) const {
-    auto guard_at = [&](Time t) {
-      Guard g;
-      for (const Reveal& r : tr.reveals) {
-        if (r.at > t) break;
-        g.add(Literal{r.cond_id, r.value});
+    void add(int key, Time start, const Guard& guard) {
+      const auto [it, inserted] =
+          index.emplace(ColumnId{key, start}, columns.size());
+      if (inserted) {
+        columns.push_back(Column{key, start, guard});
+        return;
       }
-      return g;
+      Guard& folded = columns[it->second].guard;
+      if (!folded.literals().empty()) folded.intersect_with(guard);
+    }
+  };
+
+  /// Folds one trace's activations.  A record's guard is the conjunction
+  /// of the values revealed by its time: with the reveals sorted by time
+  /// that is a prefix, so the trace builds one guard per prefix length
+  /// (into `prefixes`, reused across traces) and a record finds its own by
+  /// binary search.
+  void fold_trace(const ScenarioTrace& tr, std::vector<Guard>& prefixes,
+                  ColumnFold& fold) const {
+    prefixes.resize(tr.reveals.size() + 1);
+    prefixes[0] = Guard{};
+    for (std::size_t r = 0; r < tr.reveals.size(); ++r) {
+      prefixes[r + 1] = prefixes[r];
+      prefixes[r + 1].add(Literal{tr.reveals[r].cond_id, tr.reveals[r].value});
+    }
+    auto guard_at = [&](Time t) -> const Guard& {
+      const auto it = std::upper_bound(
+          tr.reveals.begin(), tr.reveals.end(), t,
+          [](Time v, const Reveal& r) { return v < r.at; });
+      return prefixes[static_cast<std::size_t>(it - tr.reveals.begin())];
     };
-    std::vector<TableRecord> records;
-    for (const ExecTrace& e : tr.execs) {
-      const CopyInfo& ci = copies_[static_cast<std::size_t>(
-          copy_at(e.copy.process.get(), e.copy.copy))];
+    for (std::size_t ci = 0; ci < tr.execs.size(); ++ci) {
+      const ExecTrace& e = tr.execs[ci];
       for (std::size_t a = 0; a < e.attempt_starts.size(); ++a) {
         const Time t = e.attempt_starts[a];
-        records.push_back(TableRecord{ci.node.get(), ci.name,
-                                      ci.name + "/" + std::to_string(a + 1),
-                                      t, guard_at(t)});
+        fold.add(item_key_[static_cast<std::size_t>(copies_[ci].first_item) +
+                           a],
+                 t, guard_at(t));
       }
     }
     for (const TxTrace& tx : tr.txs) {
-      if (tx.is_condition) {
-        records.push_back(TableRecord{-1, registry_.label(tx.cond_id), "",
-                                      tx.start, guard_at(tx.ready)});
-      } else {
-        const Message& m = app_.message(tx.msg);
-        std::string label = m.name;
-        if (tx.src_copy >= 0 && pa_.plan(m.src).copy_count() > 1) {
-          label += "(" + std::to_string(tx.src_copy + 1) + ")";
-        }
-        records.push_back(
-            TableRecord{-1, m.name, label, tx.start, guard_at(tx.ready)});
-      }
+      const int item =
+          tx.is_condition
+              ? first_cond_item_ + tx.cond_id
+              : msg_info(tx.msg).first_item +
+                    (tx.src_copy >= 0 ? tx.src_copy
+                                      : msg_info(tx.msg).src_count);
+      fold.add(item_key_[static_cast<std::size_t>(item)], tx.start,
+               guard_at(tx.ready));
     }
-    return records;
   }
 
   void build_tables(CondScheduleResult& result) {
     ScheduleTables& tables = result.tables;
     tables.node_rows.assign(static_cast<std::size_t>(arch_.node_count()),
                             TableRows{});
-    struct Agg {
-      Guard guard;
-      bool first = true;
-    };
-    // key: (node or -1 for bus, row, label, start)
-    // lint: cold-path -- guard aggregation when emitting the final tables,
-    // once per synthesized schedule; ordered keys double as the
-    // deterministic row order of the exported tables
-    std::map<std::tuple<int, std::string, std::string, Time>, Agg> agg;
 
-    auto intersect = [](const Guard& a, const Guard& b) {
-      Guard g;
-      for (const Literal& lit : a.literals()) {
-        if (b.contains(lit)) g.add(lit);
+    // Traces fold in contiguous chunks, one per thread; the chunk folds
+    // then merge in chunk order.  Guard intersection is commutative and
+    // the columns are sorted below, so the tables do not depend on the
+    // thread count.
+    const std::size_t n = result.traces.size();
+    const std::size_t chunks =
+        std::min(n, static_cast<std::size_t>(std::max(threads_, 1)));
+    std::vector<ColumnFold> folds(std::max<std::size_t>(chunks, 1));
+    parallel_for(*pool_, chunks, threads_, [&](std::size_t c) {
+      std::vector<Guard> prefixes;
+      for (std::size_t i = n * c / chunks; i < n * (c + 1) / chunks; ++i) {
+        if (opts_.cancel && opts_.cancel->poll()) return;
+        fold_trace(result.traces[i], prefixes, folds[c]);
       }
-      return g;
-    };
-
-    // Per-scenario record extraction is independent (pure reads of the
-    // traces); the guard-intersecting fold below stays serial in scenario
-    // order.
-    std::vector<std::vector<TableRecord>> per_trace(result.traces.size());
-    parallel_for(*pool_, result.traces.size(), threads_, [&](std::size_t i) {
-      if (opts_.cancel && opts_.cancel->poll()) return;
-      per_trace[i] = trace_records(result.traces[i]);
     });
     throw_if_cancelled();
-
-    for (const std::vector<TableRecord>& records : per_trace) {
-      for (const TableRecord& r : records) {
-        auto key = std::make_tuple(r.node, r.row, r.label, r.start);
-        auto [it, inserted] = agg.emplace(key, Agg{r.guard, false});
-        if (!inserted) it->second.guard = intersect(it->second.guard, r.guard);
+    ColumnFold& fold = folds.front();
+    for (std::size_t c = 1; c < folds.size(); ++c) {
+      for (const Column& col : folds[c].columns) {
+        fold.add(col.key, col.start, col.guard);
       }
     }
 
-    for (auto& [key, a] : agg) {
-      const auto& [node, row, label, start] = key;
-      TableEntry entry{a.guard, start, label};
-      if (node < 0) {
-        tables.bus_rows[row].push_back(entry);
-      } else {
-        tables.node_rows[static_cast<std::size_t>(node)][row].push_back(entry);
-      }
+    // Key order is (node, row, label) string order, so each row receives
+    // its entries ordered by (label, start) before the sort by start.
+    std::vector<Column>& columns = fold.columns;
+    std::sort(columns.begin(), columns.end(),
+              [](const Column& a, const Column& b) {
+                return a.key != b.key ? a.key < b.key : a.start < b.start;
+              });
+    for (Column& col : columns) {
+      const TableKey& key = keys_[static_cast<std::size_t>(col.key)];
+      TableRows& rows =
+          key.node < 0 ? tables.bus_rows
+                       : tables.node_rows[static_cast<std::size_t>(key.node)];
+      rows[key.row].push_back(
+          TableEntry{std::move(col.guard), col.start, key.label});
     }
     auto sort_rows = [](TableRows& rows) {
       for (auto& [name, entries] : rows) {
@@ -692,11 +790,21 @@ class CondSim {
 
   std::vector<CopyInfo> copies_;
   std::vector<int> first_copy_;
+  std::vector<MsgInfo> msgs_;
+  /// Per process, its frozen output messages in message-id order.
+  std::vector<std::vector<MessageId>> frozen_outputs_;
+  std::size_t slot_total_ = 0;
   std::vector<Time> copy_pins_;
   std::vector<Time> msg_pins_;
   CondRegistry registry_;
-  std::vector<CopyRef> cond_copy_;
-  std::vector<int> cond_index_;
+  std::vector<int> cond_ids_;    ///< (copy first_cond + j - 1) -> id or -1
+  std::vector<int> cond_copy_;   ///< id -> global copy index
+  std::vector<int> cond_index_;  ///< id -> fault index j
+  // Table items (copy attempts, then per message its producer copies and
+  // frozen sync, then condition broadcasts) and their interned keys.
+  std::vector<int> item_key_;
+  int first_cond_item_ = 0;
+  std::vector<TableKey> keys_;
 };
 
 }  // namespace

@@ -23,6 +23,23 @@
 // execution segment terminates (Section 5.2); remote nodes learn a copy's
 // death only through such broadcasts.
 //
+// Cost: close to linear per scenario.  Everything scenario-independent is
+// precomputed once per generation: per copy its dependency-slot offsets
+// and condition ids, per message whether it needs the bus, per process its
+// frozen outputs, and an integer key per table activation (node, row,
+// label) whose order is the string order.  One scenario's simulation
+// keeps a ready list of copies whose inputs are all resolved (each event
+// scans it for the minimum of start, rank descending, copy index), a
+// binary heap of pending transmissions keyed by (ready, emission order),
+// and a flat bitmap of resolved (consumer copy, input, producer copy)
+// slots, so a dependency resolves in O(1) and a frozen message is emitted
+// by the commit that completes its producers.  Table extraction builds
+// one guard per reveal-prefix length per trace, finds a record's guard by
+// binary search on the reveal time, and folds columns in a hash map keyed
+// by (integer key, start), intersecting guards by a linear merge; the
+// columns are sorted once at the end, so the tables are the same for
+// every thread count.
+//
 // Scope note: checkpointing/re-execution chains and frozen sync nodes are
 // exact; consumers of *replicated* producers wait until every copy has
 // either delivered or is known dead (the conservative join of DESIGN.md §4).

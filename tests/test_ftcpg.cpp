@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "fixtures.h"
+#include "util/random.h"
 
 namespace ftes {
 namespace {
@@ -35,6 +39,81 @@ TEST(Guard, ContradictionAndConjunction) {
   const Guard ac = a.conjoin(c);
   EXPECT_EQ(ac.faults(), 2);
   EXPECT_THROW(a.conjoin(b), std::logic_error);
+}
+
+/// Random non-contradicting literals over vertices [0, vertices), with
+/// duplicates: each vertex gets one polarity, drawn once.
+std::vector<Literal> random_literals(Rng& rng, int vertices, int count) {
+  std::vector<int> polarity(static_cast<std::size_t>(vertices), -1);
+  std::vector<Literal> lits;
+  for (int i = 0; i < count; ++i) {
+    const int v = static_cast<int>(rng.uniform_int(0, vertices - 1));
+    int& p = polarity[static_cast<std::size_t>(v)];
+    if (p < 0) p = rng.chance(0.5) ? 1 : 0;
+    lits.push_back(Literal{v, p == 1});
+  }
+  return lits;
+}
+
+TEST(Guard, AddInAnyOrderEqualsSortedUnique) {
+  Rng rng(17);
+  for (int round = 0; round < 200; ++round) {
+    const std::vector<Literal> lits =
+        random_literals(rng, 12, static_cast<int>(rng.uniform_int(0, 20)));
+    std::vector<Literal> expected = lits;
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+
+    // Descending order (duplicates kept), drawn order, a shuffle.
+    std::vector<std::vector<Literal>> orders(3, lits);
+    std::sort(orders[0].rbegin(), orders[0].rend());
+    rng.shuffle(orders[2]);
+    for (const std::vector<Literal>& order : orders) {
+      Guard g;
+      for (const Literal& l : order) g.add(l);
+      EXPECT_EQ(g.literals(), expected) << "round " << round;
+    }
+  }
+}
+
+TEST(Guard, ContradictionThrowsOnEitherSideOfItsPartner) {
+  // {5, faulted} sorts right after {5, !faulted}: adding either polarity
+  // when the other is present must throw, wherever the neighbours sit.
+  for (bool first : {false, true}) {
+    Guard g;
+    g.add(Literal{4, true});
+    g.add(Literal{5, first});
+    g.add(Literal{6, false});
+    EXPECT_THROW(g.add(Literal{5, !first}), std::logic_error) << first;
+    EXPECT_EQ(g.literals().size(), 3u);
+    Guard alone;
+    alone.add(Literal{5, first});
+    EXPECT_THROW(alone.add(Literal{5, !first}), std::logic_error) << first;
+  }
+}
+
+TEST(Guard, MergeIntersectionEqualsContainsLoop) {
+  Rng rng(23);
+  for (int round = 0; round < 500; ++round) {
+    Guard a;
+    Guard b;
+    for (const Literal& l :
+         random_literals(rng, 10, static_cast<int>(rng.uniform_int(0, 12)))) {
+      a.add(l);
+    }
+    for (const Literal& l :
+         random_literals(rng, 10, static_cast<int>(rng.uniform_int(0, 12)))) {
+      b.add(l);
+    }
+    Guard naive;
+    for (const Literal& l : a.literals()) {
+      if (b.contains(l)) naive.add(l);
+    }
+    Guard merged = a;
+    merged.intersect_with(b);
+    EXPECT_EQ(merged, naive) << "round " << round;
+  }
 }
 
 TEST(Ftcpg, Fig5CopyCounts) {

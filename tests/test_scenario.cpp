@@ -43,6 +43,22 @@ TEST(FaultScenario, ToStringNamesProcesses) {
   EXPECT_EQ(FaultScenario{}.to_string(f.app), "{no faults}");
 }
 
+TEST(FaultScenario, RemoveFaultUndoesAdd) {
+  auto f = fig3_app();
+  FaultScenario s;
+  s.add_fault(CopyRef{f.p1, 0}, 2);
+  s.add_fault(CopyRef{f.p2, 0});
+  s.remove_fault(CopyRef{f.p1, 0});
+  EXPECT_EQ(s.faults_on(CopyRef{f.p1, 0}), 1);
+  EXPECT_EQ(s.total_faults(), 2);
+  s.remove_fault(CopyRef{f.p1, 0});
+  EXPECT_EQ(s.hits().count(CopyRef{f.p1, 0}), 0u);  // no zero entries
+  EXPECT_EQ(s.total_faults(), 1);
+  EXPECT_THROW(s.remove_fault(CopyRef{f.p2, 0}, 2), std::invalid_argument);
+  s.remove_fault(CopyRef{f.p3, 0}, 0);  // no-op
+  EXPECT_EQ(s.total_faults(), 1);
+}
+
 // Enumeration size: distributing <= k faults over m copies yields
 // C(m + k, k) scenarios (stars and bars, including the empty one).
 TEST(ScenarioEnumeration, CountsMatchStarsAndBars) {
